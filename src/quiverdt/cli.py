@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=["text", "machine"], default="text", help="output format"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker threads for tree sums")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trees = sub.add_parser("trees", help="enumerate decorated binary trees")
@@ -95,9 +95,7 @@ def _cmd_f(args, out) -> int:
     gammas = [parse_dimvec(g) for g in args.gammas]
     theta = parse_covector(args.theta)
     aux = build_aux(quiver, gammas, theta)
-    poly = flow_tree_scalar(
-        aux, mode=args.mode, seed=args.seed, budget=args.budget, workers=args.jobs
-    )
+    poly = flow_tree_scalar(aux, mode=args.mode, seed=args.seed, budget=args.budget)
     if args.format == "machine":
         out.write(f"F={poly.render()}\n")
     else:
@@ -121,7 +119,6 @@ def _cmd_dt(args, out) -> int:
         seed=args.seed,
         budget=args.budget,
         cache=cache,
-        workers=args.jobs,
     )
     out.write(
         f"omega_bar={rational.render()}\n" if machine else f"Omega_bar = {rational.render()}\n"
@@ -136,7 +133,6 @@ def _cmd_dt(args, out) -> int:
             seed=args.seed,
             budget=args.budget,
             cache=cache,
-            workers=args.jobs,
         )
     except NotPolynomial as exc:
         print(f"warning: {exc}", file=sys.stderr)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import tempfile
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -121,7 +123,10 @@ class AttractorTable:
             if len(right) != 2 or right[0].strip() != "omega_star":
                 raise InvalidInput(f"line {lineno}: bad omega_star clause")
             gamma = parse_dimvec(left[1].strip())
-            entries[gamma] = RatFunc(parse_bilaurent(right[1].strip()))
+            try:
+                entries[gamma] = RatFunc(parse_bilaurent(right[1].strip()))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise InvalidInput(f"line {lineno}: bad omega_star value: {exc}") from exc
         return AttractorTable(entries, acyclic_default=acyclic)
 
 
@@ -233,8 +238,10 @@ class FCache:
     """Cache of universal coefficients keyed by (r, eta, alpha sign pattern).
 
     The key omits the sampled perturbation and the seed: the flow tree
-    formula's value is a theorem-level invariant of the key.  Disk entries
-    hold the canonical polynomial text; unparseable files are recomputed.
+    formula's value is a theorem-level invariant of the key.  A disk entry
+    is one record of three lines, the key, the canonical polynomial text
+    and an end marker, moved into place whole.  An entry whose key differs
+    or whose record is incomplete or unparseable is recomputed.
     """
 
     def __init__(self, directory=None):
@@ -245,10 +252,8 @@ class FCache:
 
     @staticmethod
     def key_for(aux: AuxLattice) -> str:
-        signs = "".join(
-            "+" if mask_sum(aux.alpha, m) > 0 else ("-" if mask_sum(aux.alpha, m) < 0 else "0")
-            for m in nonempty_masks(aux.r)
-        )
+        sums = (mask_sum(aux.alpha, m) for m in nonempty_masks(aux.r))
+        signs = "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in sums)
         eta_text = ";".join(",".join(str(x) for x in row) for row in aux.eta)
         return f"r={aux.r}|eta={eta_text}|signs={signs}"
 
@@ -260,20 +265,32 @@ class FCache:
         if key in self.memory:
             return self.memory[key]
         if self.directory:
-            path = self._path(key)
-            if path.exists():
-                try:
-                    poly = parse_laurent(path.read_text().strip())
-                except Exception:
-                    return None
-                self.memory[key] = poly
-                return poly
+            try:
+                lines = self._path(key).read_text().split("\n")
+            except (OSError, ValueError):
+                return None
+            complete = len(lines) == 4 and lines[2:] == ["end", ""]
+            if not complete or lines[0] != f"key {key}" or not lines[1].startswith("value "):
+                return None
+            try:
+                poly = parse_laurent(lines[1][len("value "):])
+            except (InvalidInput, ValueError, ZeroDivisionError):
+                return None
+            self.memory[key] = poly
+            return poly
         return None
 
     def put(self, key: str, poly: LaurentPoly):
         self.memory[key] = poly
         if self.directory:
-            self._path(key).write_text(poly.render() + "\n")
+            fd, temp = tempfile.mkstemp(dir=self.directory, prefix=".F-", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as handle:
+                    handle.write(f"key {key}\nvalue {poly.render()}\nend\n")
+                os.replace(temp, self._path(key))
+            except BaseException:
+                os.unlink(temp)
+                raise
 
 
 def universal_coefficient(
@@ -282,15 +299,14 @@ def universal_coefficient(
     seed: int = 0,
     budget: int = 1000,
     cache: FCache | None = None,
-    workers: int = 1,
 ) -> LaurentPoly:
     """flow_tree_scalar with the theorem-backed cache in front."""
     if cache is None:
-        return flow_tree_scalar(aux, mode=mode, seed=seed, budget=budget, workers=workers)
+        return flow_tree_scalar(aux, mode=mode, seed=seed, budget=budget)
     key = FCache.key_for(aux)
     value = cache.get(key)
     if value is None:
-        value = flow_tree_scalar(aux, mode=mode, seed=seed, budget=budget, workers=workers)
+        value = flow_tree_scalar(aux, mode=mode, seed=seed, budget=budget)
         cache.put(key, value)
     return value
 
@@ -304,7 +320,6 @@ def assemble_dt(
     seed: int = 0,
     budget: int = 1000,
     cache: FCache | None = None,
-    workers: int = 1,
 ) -> RatFunc:
     """Rational DT invariant of gamma at theta from the attractor table."""
     gamma = tuple(gamma)
@@ -322,9 +337,7 @@ def assemble_dt(
     total = RatFunc.zero()
     for decomp in enumerate_decompositions(gamma, parts=allowed_parts):
         aux = build_aux(q, decomp.parts, theta)
-        coeff = universal_coefficient(
-            aux, mode=mode, seed=seed, budget=budget, cache=cache, workers=workers
-        )
+        coeff = universal_coefficient(aux, mode=mode, seed=seed, budget=budget, cache=cache)
         if coeff.is_zero():
             continue
         term = RatFunc(coeff) * Fraction(1, decomp.aut_order)
@@ -343,7 +356,6 @@ def dt_integer_value(
     seed: int = 0,
     budget: int = 1000,
     cache: FCache | None = None,
-    workers: int = 1,
 ) -> BiLaurent:
     """Integer-level DT invariant via multicover inversion over divisors of gamma.
 
@@ -354,7 +366,7 @@ def dt_integer_value(
     rational = {}
     for _, base in _divisors_of_vector(gamma):
         rational[base] = assemble_dt(
-            q, base, theta, table, mode=mode, seed=seed, budget=budget, cache=cache, workers=workers
+            q, base, theta, table, mode=mode, seed=seed, budget=budget, cache=cache
         )
     integer_values = integer_from_rational(rational)
     return integer_values.get(gamma, BiLaurent.zero())

@@ -1,37 +1,30 @@
-"""The discrete attractor flow and the flow tree formula.
+"""The flow tree formula, evaluated one split at a time.
 
-The flow assigns a covector to the root and every interior vertex of a
-decorated tree, starting from a point of e_I^perp and moving along the
-contraction of the skew form with the vertex charge.  Epsilon-signs read
-off whether a vertex contributes; a tree's weight is the product of its
-epsilon * kappa(eta-pairing) factors.
+The sum over decorated trees on J factorizes over the split at the root.
+With l the lowest index of J and R = J minus L,
 
-Trees with a zero eta-pairing at any interior vertex carry a kappa(0) = 0
-factor and are dropped before any flow runs; this is also what makes the
-point-perturbed variant well defined, since the unperturbed form eta may
-be degenerate on exactly those splits.
+    F(J, theta) = sum over L containing l of eps(L, R, theta) [F(L, theta'), F(R, theta')]
+
+where eps = -(sgn theta(e_L) + sgn omega(e_L, e_R)) / 2, theta' is the
+discrete flow step theta + (theta(e_L) / omega(e_L, e_R)) iota_{e_J} omega,
+and the graded bracket carries the kappa(eta(e_L, e_R)) factor.  Splits
+with eta(e_L, e_R) = 0 are dropped before any sign is read: their bracket
+vanishes, and the unperturbed form eta may be degenerate on exactly those
+splits.
+
+Evaluation doubles as the certificate of a sampled perturbation: every
+sign argument the sum depends on is read, and a zero one raises
+ZeroSignArgument.  The samplers therefore evaluate the draws of
+``lattice`` in turn and keep the first evaluation that goes through.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import LaurentPoly, kappa
-from .errors import DivisionByZeroPairing, InvalidInput, ZeroSignArgument
-from .lattice import (
-    AuxLattice,
-    OmegaForm,
-    mask_indices,
-    mask_sum,
-    pair_masks,
-    sample_beta,
-    sample_omega,
-)
-from .trees import enumerate_trees, interior_vertices, is_leaf, leaf_mask
-
-ROOT = None
+from .errors import InvalidInput, SamplingTimeout, ZeroSignArgument
+from .lattice import AuxLattice, OmegaForm, beta_draws, mask_indices, mask_sum, omega_draws
 
 
 def _entries(form):
@@ -65,192 +58,6 @@ class _MaskForm:
         return sum(row[j] for j in mask_indices(mb))
 
 
-def run_flow(tree, alpha, omega) -> dict:
-    """Discrete flow values keyed by vertex: ROOT (= None) and interior encodings.
-
-    Raises DivisionByZeroPairing when the recursion divides by a zero
-    pairing, which signals that omega lies outside U_J.
-    """
-    mf = _MaskForm(_entries(omega))
-    alpha = tuple(alpha)
-    assignment = {ROOT: alpha}
-
-    def descend(node, theta_parent):
-        if is_leaf(node):
-            return
-        left, right = node
-        ml, mr = leaf_mask(left), leaf_mask(right)
-        mv = ml | mr
-        denom = mf.pair(mv, ml)
-        if denom == 0:
-            raise DivisionByZeroPairing(f"omega(e_v, e_v') = 0 at charge {mv:b}/{ml:b}")
-        coef = Fraction(mask_sum(theta_parent, ml), 1) / denom
-        row = mf.row(mv)
-        theta = tuple(tp - coef * rv for tp, rv in zip(theta_parent, row))
-        assignment[node] = theta
-        descend(left, theta)
-        descend(right, theta)
-
-    descend(tree, alpha)
-    return assignment
-
-
-def epsilon_signs(tree, assignment: dict, omega) -> dict:
-    """Epsilon in {-1, 0, 1} per interior vertex, from the parent's flow value.
-
-    Raises ZeroSignArgument when either sign argument vanishes, which
-    signals that omega lies outside U_{I,alpha}.
-    """
-    mf = _MaskForm(_entries(omega))
-    signs = {}
-
-    def walk(node, parent_key):
-        if is_leaf(node):
-            return
-        theta_parent = assignment[parent_key]
-        left, right = node
-        a = mask_sum(theta_parent, leaf_mask(left))
-        b = mf.pair(leaf_mask(left), leaf_mask(right))
-        if a == 0 or b == 0:
-            raise ZeroSignArgument(f"vanishing sign argument at vertex {node}")
-        signs[node] = -((1 if a > 0 else -1) + (1 if b > 0 else -1)) // 2
-        walk(left, node)
-        walk(right, node)
-
-    walk(tree, ROOT)
-    return signs
-
-
-def flow_conditions_hold(tree_list, alpha, omega) -> bool:
-    """Sign-definiteness of the flow over a list of trees (sampler predicate)."""
-    mf = _MaskForm(_entries(omega))
-    alpha = tuple(alpha)
-
-    def check(node, theta_parent) -> bool:
-        if is_leaf(node):
-            return True
-        left, right = node
-        ml, mr = leaf_mask(left), leaf_mask(right)
-        if mask_sum(theta_parent, ml) == 0 or mf.pair(ml, mr) == 0:
-            return False
-        if is_leaf(left) and is_leaf(right):
-            return True
-        mv = ml | mr
-        denom = mf.pair(mv, ml)
-        if denom == 0:
-            return False
-        coef = Fraction(mask_sum(theta_parent, ml), 1) / denom
-        row = mf.row(mv)
-        theta = tuple(tp - coef * rv for tp, rv in zip(theta_parent, row))
-        return check(left, theta) and check(right, theta)
-
-    return all(check(tree, alpha) for tree in tree_list)
-
-
-@lru_cache(maxsize=256)
-def _supported_trees_cached(eta, r: int):
-    """Trees whose every interior eta-pairing is nonzero (all others weigh 0)."""
-    out = []
-    for tree in enumerate_trees(range(1, r + 1)):
-        if is_leaf(tree):
-            out.append(tree)
-            continue
-        if all(
-            pair_masks(eta, leaf_mask(v[0]), leaf_mask(v[1])) != 0
-            for v in interior_vertices(tree)
-        ):
-            out.append(tree)
-    return tuple(out)
-
-
-def kappa_supported_trees(eta, r: int):
-    eta = tuple(tuple(row) for row in eta)
-    return _supported_trees_cached(eta, r)
-
-
-@lru_cache(maxsize=4096)
-def _kappa_product(values: tuple) -> LaurentPoly:
-    poly = LaurentPoly.const(1)
-    for v in values:
-        poly = poly * kappa(v)
-    return poly
-
-
-def _tree_weight(tree, alpha, mf_form: _MaskForm, mf_eta: _MaskForm):
-    """epsilon * kappa product of one eta-supported tree; None when it is zero."""
-    sign = 1
-    kappa_args = []
-
-    def descend(node, theta_parent) -> bool:
-        nonlocal sign
-        if is_leaf(node):
-            return True
-        left, right = node
-        ml, mr = leaf_mask(left), leaf_mask(right)
-        a = mask_sum(theta_parent, ml)
-        b = mf_form.pair(ml, mr)
-        if a == 0 or b == 0:
-            raise ZeroSignArgument(f"vanishing sign argument at vertex {node}")
-        eps = -((1 if a > 0 else -1) + (1 if b > 0 else -1)) // 2
-        if eps == 0:
-            return False
-        sign *= eps
-        kappa_args.append(mf_eta.pair(ml, mr))
-        if is_leaf(left) and is_leaf(right):
-            return True
-        # omega(e_v, e_v') = omega(e_v'', e_v') = -b, so the flow step is
-        # theta + (a/b) * iota_{e_v} omega.
-        coef = Fraction(a, 1) / b
-        row = mf_form.row(ml | mr)
-        theta = tuple(tp + coef * rv for tp, rv in zip(theta_parent, row))
-        return descend(left, theta) and descend(right, theta)
-
-    if not descend(tree, tuple(alpha)):
-        return None
-    return sign * _kappa_product(tuple(sorted(kappa_args)))
-
-
-def flow_tree_scalar(
-    aux: AuxLattice,
-    mode: str = "omega",
-    seed: int = 0,
-    budget: int = 1000,
-    workers: int = 1,
-) -> LaurentPoly:
-    """Universal wall-crossing coefficient of the decomposition, in Z[y, y^-1].
-
-    In omega-perturbed mode the flow runs from alpha with a sampled generic
-    perturbation of eta; in beta-perturbed mode it runs from a sampled
-    perturbation of alpha with eta itself.  The two modes and all seeds
-    produce the identical polynomial.
-    """
-    if mode == "omega":
-        form = _entries(sample_omega(aux, seed, budget))
-        start = aux.alpha
-    elif mode == "beta":
-        start = sample_beta(aux, seed, budget)
-        form = tuple(tuple(Fraction(x) for x in row) for row in aux.eta)
-    else:
-        raise InvalidInput(f"unknown perturbation mode {mode!r}")
-    supported = kappa_supported_trees(aux.eta, aux.r)
-    mf_form = _MaskForm(form)
-    mf_eta = _MaskForm(aux.eta)
-
-    def weigh(tree):
-        return _tree_weight(tree, start, mf_form, mf_eta)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            weights = list(pool.map(weigh, supported))
-    else:
-        weights = [weigh(tree) for tree in supported]
-    total = LaurentPoly.zero()
-    for w in weights:
-        if w is not None:
-            total = total + w
-    return total
-
-
 class BracketContext:
     """Graded bilinear antisymmetric bracket with one input value per leaf.
 
@@ -281,59 +88,107 @@ def scalar_context(eta, r: int) -> BracketContext:
     )
 
 
-def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
-    """Sum of bracket trees over the decorated trees on ``indices``.
-
-    This is the flow tree map with initial point alpha0: each tree is
-    evaluated bottom-up through ctx.bracket with its epsilon coefficients,
-    and the results (all graded at e_J for J = indices) are added.
-    """
-    indices = sorted(indices)
-    eta = tuple(tuple(row) for row in eta)
-    mf_form = _MaskForm(_entries(form))
-    mf_eta = _MaskForm(eta)
-    start = tuple(alpha0)
-
-    def supported(tree) -> bool:
-        return all(
-            mf_eta.pair(leaf_mask(v[0]), leaf_mask(v[1])) != 0
-            for v in interior_vertices(tree)
-        )
-
-    def evaluate(node, theta_parent):
-        if is_leaf(node):
-            return ctx.leaf_values[node]
-        left, right = node
-        ml, mr = leaf_mask(left), leaf_mask(right)
-        a = mask_sum(theta_parent, ml)
-        b = mf_form.pair(ml, mr)
-        if a == 0 or b == 0:
-            raise ZeroSignArgument(f"vanishing sign argument at vertex {node}")
-        eps = -((1 if a > 0 else -1) + (1 if b > 0 else -1)) // 2
-        if eps == 0:
-            return None
-        coef = Fraction(a, 1) / b
-        row = mf_form.row(ml | mr)
-        theta = tuple(tp + coef * rv for tp, rv in zip(theta_parent, row))
-        vl = evaluate(left, theta)
-        if vl is None:
-            return None
-        vr = evaluate(right, theta)
-        if vr is None:
-            return None
-        value = ctx.bracket(vl, vr, ml, mr)
-        return -value if eps < 0 else value
-
+def _evaluate(mask: int, theta, eta: _MaskForm, form: _MaskForm, ctx: BracketContext):
+    """F(mask, theta): the flow tree sum over the trees on the indices of mask."""
+    if mask & (mask - 1) == 0:
+        return ctx.leaf_values[mask.bit_length()]
+    low = mask & -mask
+    rest = mask ^ low
     total = ctx.zero
-    for tree in enumerate_trees(indices):
-        if not is_leaf(tree) and not supported(tree):
+    sub = rest
+    while sub:
+        sub = (sub - 1) & rest  # every proper subset of rest, ending with the empty one
+        left = low | sub
+        right = rest ^ sub
+        if eta.pair(left, right) == 0:
             continue
-        value = evaluate(tree, start)
-        if value is not None:
-            total = total + value
+        a = mask_sum(theta, left)
+        b = form.pair(left, right)
+        if a == 0 or b == 0:
+            raise ZeroSignArgument(f"vanishing sign argument at split {left:b}|{right:b}")
+        if (a > 0) != (b > 0):
+            continue  # eps = 0
+        coef = Fraction(a) / b
+        step = tuple(t + coef * v for t, v in zip(theta, form.row(mask)))
+        # Both sides are evaluated even when one is zero, so that every sign
+        # argument the sum depends on is checked.
+        value_left = _evaluate(left, step, eta, form, ctx)
+        value_right = _evaluate(right, step, eta, form, ctx)
+        value = ctx.bracket(value_left, value_right, left, right)
+        total = total + (-value if a > 0 else value)
     return total
+
+
+def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
+    """Flow tree map of the index subset ``indices``, started at alpha0.
+
+    The value is graded at e_J for J = indices.  Raises ZeroSignArgument
+    when a sign argument the sum depends on vanishes.
+    """
+    mask = 0
+    for i in indices:
+        mask |= 1 << (i - 1)
+    eta_form = _MaskForm(tuple(tuple(row) for row in eta))
+    return _evaluate(mask, tuple(alpha0), eta_form, _MaskForm(_entries(form)), ctx)
 
 
 def flow_tree_map(aux: AuxLattice, ctx: BracketContext, alpha0, form):
     """Flow tree map of the full index set, a graded value at e_I."""
     return flow_tree_sum(range(1, aux.r + 1), aux.eta, ctx, alpha0, form)
+
+
+def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
+    """(draw, F) for the first draw of the seed on which the scalar formula evaluates.
+
+    In omega mode the draws are perturbed forms and the flow starts at
+    alpha; in beta mode they are perturbed start points and the form is
+    eta itself.
+    """
+    if mode == "omega":
+        candidates = ((omega, aux.alpha, omega) for omega in omega_draws(aux, seed, budget))
+    elif mode == "beta":
+        candidates = ((beta, beta, aux.eta) for beta in beta_draws(aux, seed, budget))
+    else:
+        raise InvalidInput(f"unknown perturbation mode {mode!r}")
+    ctx = scalar_context(aux.eta, aux.r)
+    for draw, start, form in candidates:
+        try:
+            return draw, flow_tree_map(aux, ctx, start, form)
+        except ZeroSignArgument:
+            continue
+    raise SamplingTimeout(f"no admissible {mode} after {budget} resamples")
+
+
+def sample_omega(aux: AuxLattice, seed: int, budget: int = 1000) -> OmegaForm:
+    """The first omega = eta + 2^-k R drawn for the seed on which the flow evaluates.
+
+    The draws of ``lattice.omega_draws`` already lie in U^eta; evaluating
+    the flow tree map at alpha certifies membership in U_{I,alpha}.
+    Deterministic per seed.
+    """
+    omega, _ = _first_generic(aux, "omega", seed, budget)
+    return OmegaForm(entries=omega)
+
+
+def sample_beta(aux: AuxLattice, seed: int, budget: int = 1000):
+    """The first start point drawn for the seed on which the eta-flow evaluates.
+
+    alpha itself is drawn first, then dyadic perturbations of it that keep
+    its signs (``lattice.beta_draws``).
+    """
+    beta, _ = _first_generic(aux, "beta", seed, budget)
+    return beta
+
+
+def flow_tree_scalar(
+    aux: AuxLattice, mode: str = "omega", seed: int = 0, budget: int = 1000
+) -> LaurentPoly:
+    """Universal wall-crossing coefficient of the decomposition, in Z[y, y^-1].
+
+    In omega-perturbed mode the flow runs from alpha with a sampled generic
+    perturbation of eta; in beta-perturbed mode it runs from a sampled
+    perturbation of alpha with eta itself.  The two modes and all seeds
+    produce the identical polynomial.
+    """
+    _, value = _first_generic(aux, mode, seed, budget)
+    return value

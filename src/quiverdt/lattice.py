@@ -3,9 +3,10 @@
 The auxiliary rank-r lattice attached to a decomposition gamma_1..gamma_r
 is handled through bitmasks: the subset J of {1..r} is the integer whose
 bit i-1 is set iff i is in J, and e_J is the corresponding {0,1}-vector.
-All genericity conditions are exact sign tests on rationals; the samplers
-perturb by dyadic rationals and verify membership by running the discrete
-flow, resampling on failure.
+All genericity conditions are exact sign tests on rationals.  The
+perturbation draws here are dyadic rationals; ``flow`` certifies a draw by
+evaluating the flow tree formula on it and moves to the next one on
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInput, NotGenericAlpha, NotOnWall, SamplingTimeout
+from .errors import InvalidInput, NotGenericAlpha, NotOnWall
 
 PERTURBATION_DENOM = 2 ** 16
 
@@ -274,7 +275,7 @@ def _min_shrink_exponent(base_pairs, perturb_pairs, start: int = 8) -> int:
 
 @dataclass(frozen=True)
 class OmegaForm:
-    """Exact-rational skew perturbation of eta, certified generic."""
+    """Exact-rational skew perturbation of eta."""
 
     entries: tuple
 
@@ -286,20 +287,20 @@ class OmegaForm:
                     raise InvalidInput("omega is not skew-symmetric")
 
 
-def sample_omega(aux: AuxLattice, seed: int, budget: int = 1000) -> OmegaForm:
-    """Draw omega = eta + 2^-k R certified to lie in U^eta and U_{I,alpha}.
+def omega_draws(aux: AuxLattice, seed: int, budget: int = 1000):
+    """Yield candidate forms omega = eta + 2^-k R in U^eta, deterministically per seed.
 
-    The sign condition of U^eta is enforced by shrinking 2^-k; membership
-    in U_{I,alpha} is verified by running the discrete flow over every
-    eta-relevant tree, resampling R on failure.  Deterministic per seed.
+    Each of the ``budget`` resamples draws a random dyadic skew R.  An R
+    that vanishes on a disjoint pair where eta does is skipped (omega must
+    not vanish there, U_J); otherwise 2^-k starts at the smallest value
+    that keeps the signs of eta on every pair where eta is nonzero (U^eta),
+    and the draw is yielded at eight successive halvings of it.  Membership
+    in U_{I,alpha} is left to the caller.
     """
-    from . import flow, trees
-
     if not alpha_is_generic(aux.eta, aux.alpha):
         raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
     r = aux.r
     eta = aux.eta
-    tree_list = list(trees.filter_eta(trees.enumerate_trees(range(1, r + 1)), eta))
     sign_pairs = []
     for ma in nonempty_masks(r):
         for mb in nonempty_masks(r):
@@ -326,34 +327,24 @@ def sample_omega(aux: AuxLattice, seed: int, budget: int = 1000) -> OmegaForm:
         )
         for k in range(k0, k0 + 8):
             eps = Fraction(1, 1 << k)
-            omega = tuple(
+            yield tuple(
                 tuple(eta[i][j] + eps * rmat[i][j] for j in range(r)) for i in range(r)
             )
-            if flow.flow_conditions_hold(tree_list, aux.alpha, omega):
-                return OmegaForm(entries=omega)
-    raise SamplingTimeout(f"no admissible omega after {budget} resamples")
 
 
-def sample_beta(aux: AuxLattice, seed: int, budget: int = 1000):
-    """Perturb alpha within e_I^perp until the eta-flow is sign-definite.
+def beta_draws(aux: AuxLattice, seed: int, budget: int = 1000):
+    """Yield candidate start points in e_I^perp: alpha, then perturbations of it.
 
-    alpha itself is tried first; when it already passes every predicate it
-    is returned unchanged.  Random dyadic perturbations follow, shrunk
-    until beta keeps the signs of alpha on every subset where alpha is
-    nonzero (the sign-based smallness condition), then checked by running
-    the discrete flow with the unperturbed form eta.
+    After alpha itself, each of the ``budget`` resamples draws a random
+    dyadic delta with delta(e_I) = 0, scaled by 2^-k from the smallest
+    value that keeps the signs of alpha on every subset where alpha is
+    nonzero and yielded at eight successive halvings of it.  Deterministic
+    per seed.
     """
-    from . import flow, trees
-
     if not alpha_is_generic(aux.eta, aux.alpha):
         raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
     r = aux.r
-    eta = aux.eta
-    supported = flow.kappa_supported_trees(eta, r)
-    eta_frac = tuple(tuple(Fraction(x) for x in row) for row in eta)
-
-    if flow.flow_conditions_hold(supported, aux.alpha, eta_frac):
-        return tuple(aux.alpha)
+    yield tuple(aux.alpha)
 
     alpha_values = [(m, mask_sum(aux.alpha, m)) for m in nonempty_masks(r)]
     for attempt in range(budget):
@@ -366,14 +357,18 @@ def sample_beta(aux: AuxLattice, seed: int, budget: int = 1000):
         )
         for k in range(k0, k0 + 8):
             eps = Fraction(1, 1 << k)
-            beta = tuple(a + eps * d for a, d in zip(aux.alpha, delta))
-            if flow.flow_conditions_hold(supported, beta, eta_frac):
-                return beta
-    raise SamplingTimeout(f"no admissible beta after {budget} resamples")
+            yield tuple(a + eps * d for a, d in zip(aux.alpha, delta))
 
 
 # ---------------------------------------------------------------------------
 # text formats
+
+
+def _int_fields(fields, lineno: int) -> list:
+    try:
+        return [int(x) for x in fields]
+    except ValueError as exc:
+        raise InvalidInput(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from exc
 
 
 def parse_quiver(text: str) -> Quiver:
@@ -386,13 +381,13 @@ def parse_quiver(text: str) -> Quiver:
             continue
         parts = line.split()
         if parts[0] == "vertices" and len(parts) == 2:
-            vertex_count = int(parts[1])
+            (vertex_count,) = _int_fields(parts[1:], lineno)
             if vertex_count <= 0:
                 raise InvalidInput(f"line {lineno}: vertex count must be positive")
         elif parts[0] == "arrow" and len(parts) == 4:
             if vertex_count is None:
                 raise InvalidInput(f"line {lineno}: 'arrow' before 'vertices'")
-            i, j, k = int(parts[1]), int(parts[2]), int(parts[3])
+            i, j, k = _int_fields(parts[1:], lineno)
             if not (1 <= i <= vertex_count and 1 <= j <= vertex_count) or k < 0:
                 raise InvalidInput(f"line {lineno}: arrow out of range")
             arrows.append((i - 1, j - 1, k))

@@ -29,7 +29,7 @@ from .errors import (
     NotOnWall,
     ZeroSignArgument,
 )
-from .flow import flow_tree_sum, scalar_context
+from .flow import flow_tree_sum, sample_omega, scalar_context
 from .lattice import (
     AuxLattice,
     SkewForm,
@@ -38,7 +38,6 @@ from .lattice import (
     mask_indices,
     mask_sum,
     pair_masks,
-    sample_omega,
 )
 
 

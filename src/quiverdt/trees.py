@@ -14,8 +14,6 @@ grafted into the middle of one of the 2|J|-3 edges.
 
 from __future__ import annotations
 
-from .lattice import pair_masks
-
 
 def is_leaf(node) -> bool:
     return not isinstance(node, tuple)
@@ -26,12 +24,6 @@ def leaf_mask(node) -> int:
     if is_leaf(node):
         return 1 << (node - 1)
     return leaf_mask(node[0]) | leaf_mask(node[1])
-
-
-def min_leaf(node) -> int:
-    while not is_leaf(node):
-        node = node[0]
-    return node
 
 
 def enumerate_trees(indices):
@@ -102,21 +94,6 @@ def vertex_count(tree) -> int:
 
 def edge_count(tree) -> int:
     return vertex_count(tree) - 1
-
-
-def filter_eta(tree_iter, eta):
-    """Keep the trees whose top split has nonzero eta-pairing.
-
-    The defining condition looks at the children of the child of the root,
-    so the single 1-leaf tree is kept unconditionally.
-    """
-    for tree in tree_iter:
-        if is_leaf(tree):
-            yield tree
-            continue
-        left, right = tree
-        if pair_masks(eta, leaf_mask(left), leaf_mask(right)) != 0:
-            yield tree
 
 
 def render_tree(tree) -> str:

@@ -22,16 +22,12 @@ from quiverdt.checks import (
 from quiverdt.cli import main
 from quiverdt.dt import AttractorTable, assemble_dt
 from quiverdt.errors import ConsistencyFailure
-from quiverdt.flow import (
-    _MaskForm,
-    _tree_weight,
-    flow_tree_scalar,
-    kappa_supported_trees,
-    run_flow,
-)
-from quiverdt.lattice import Quiver, _rng, sample_omega
+from quiverdt.flow import flow_tree_scalar, sample_omega, scalar_context
+from quiverdt.lattice import Quiver, _rng
 from quiverdt.scattering import GradedLie, check_joint_consistency, lie_add
 from quiverdt.trees import enumerate_trees, is_leaf, leaf_mask, tree_count
+
+from flow_reference import run_flow, supported_trees, tree_weight
 
 
 def _report(number: int, name: str, started: float, budget: float):
@@ -66,7 +62,7 @@ def test_criterion_2_flow_well_definedness():
         aux = random_instance(r, 10_000 + trial)
         trial += 1
         omega = sample_omega(aux, 0).entries
-        supported = [t for t in kappa_supported_trees(aux.eta, r) if not is_leaf(t)]
+        supported = [t for t in supported_trees(aux.eta, r) if not is_leaf(t)]
         if not supported:
             continue
         tree = supported[rng.randrange(len(supported))]
@@ -74,9 +70,9 @@ def test_criterion_2_flow_well_definedness():
         fa = {leaf_mask(k): v for k, v in run_flow(tree, aux.alpha, omega).items() if k}
         fb = {leaf_mask(k): v for k, v in run_flow(flipped, aux.alpha, omega).items() if k}
         assert fa == fb
-        mf, me = _MaskForm(omega), _MaskForm(aux.eta)
-        wa = _tree_weight(tree, aux.alpha, mf, me)
-        wb = _tree_weight(flipped, aux.alpha, mf, me)
+        ctx = scalar_context(aux.eta, r)
+        wa = tree_weight(tree, aux.alpha, omega, ctx)
+        wb = tree_weight(flipped, aux.alpha, omega, ctx)
         assert (wa is None and wb is None) or wa == wb
         checked += 1
     _report(2, "flow well-definedness", started, 10)

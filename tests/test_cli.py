@@ -212,3 +212,24 @@ def test_jobs_flag_same_bytes(capsys, kronecker2):
     _, one = _run(capsys, ["--jobs", "1"] + argv)
     _, many = _run(capsys, ["--jobs", "4"] + argv)
     assert one == many
+
+
+@pytest.mark.parametrize(
+    "kind, text",
+    [
+        ("quiver", "vertices x\n"),
+        ("quiver", "vertices 2\narrow 1 2 two\n"),
+        ("attractor", "gamma = 1,1 ; omega_star = y^\n"),
+        ("attractor", "gamma = 1,1 ; omega_star = 1/0\n"),
+    ],
+)
+def test_malformed_files_exit_2(capsys, kronecker1, tmp_path, kind, text):
+    bad = tmp_path / f"bad.{kind}"
+    bad.write_text(text)
+    quiver = str(bad) if kind == "quiver" else kronecker1
+    argv = ["dt", "--quiver", quiver, "--gamma", "1,1", "--theta", "1,-1"]
+    if kind == "attractor":
+        argv += ["--attractor", str(bad)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: "), err

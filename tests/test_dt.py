@@ -235,3 +235,35 @@ def test_cache_key_ignores_seed_but_keeps_signs():
     assert FCache.key_for(aux_plus) == FCache.key_for(
         build_aux(k2, [(1, 0), (0, 1)], (2, -2))
     )
+
+
+def test_cache_key_text_is_stable():
+    # On-disk entries are found by this text: changing it orphans every cache.
+    k2 = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
+    assert FCache.key_for(k2) == "r=3|eta=0,0,2;0,0,2;-2,-2,0|signs=+++---0"
+    q3 = Quiver.from_arrows(3, [(0, 1, 2), (1, 2, 2), (0, 2, 1)])
+    aux = build_aux(q3, [(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)],
+                    (Fraction(1, 2), -1, Fraction(3, 2)))
+    assert FCache.key_for(aux) == "r=4|eta=0,2,2,1;-2,0,0,2;-2,0,0,2;-1,-2,-2,0|signs=+------++++++-0"
+
+
+def test_cache_record_prefixes_never_read_as_another_value(tmp_path):
+    key = "r=2|eta=0,3;-3,0|signs=+-0"
+    value = LaurentPoly({0: 1, 3: 2})  # 1 + 2*y^3; cut to "1 + 2" it would read as 3
+    FCache(tmp_path).put(key, value)
+    (path,) = tmp_path.iterdir()
+    record = path.read_bytes()
+    for cut in range(len(record) + 1):
+        path.write_bytes(record[:cut])
+        got = FCache(tmp_path).get(key)
+        assert got is None or (cut == len(record) and got == value), cut
+    assert FCache(tmp_path).get(key) == value
+
+
+def test_cache_record_under_another_key_is_ignored(tmp_path):
+    key, other = "r=2|eta=0,1;-1,0|signs=+-0", "r=2|eta=0,1;-1,0|signs=-+0"
+    cache = FCache(tmp_path)
+    cache.put(other, LaurentPoly.const(5))
+    # Move the record to the file of `key`, as a hash collision or a stray copy would.
+    cache._path(other).rename(cache._path(key))
+    assert FCache(tmp_path).get(key) is None

@@ -1,4 +1,8 @@
-"""The discrete attractor flow and the scalar flow tree formula."""
+"""The discrete attractor flow and the flow tree formula.
+
+The per-tree walk of flow_reference is the reference the split evaluator
+of quiverdt.flow is checked against.
+"""
 
 import random
 from fractions import Fraction
@@ -10,18 +14,17 @@ from quiverdt.checks import random_instance
 from quiverdt.errors import DivisionByZeroPairing, InvalidInput, ZeroSignArgument
 from quiverdt.flow import (
     BracketContext,
-    _MaskForm,
-    _tree_weight,
-    epsilon_signs,
     flow_tree_map,
     flow_tree_scalar,
     flow_tree_sum,
-    kappa_supported_trees,
-    run_flow,
+    sample_beta,
+    sample_omega,
     scalar_context,
 )
-from quiverdt.lattice import AuxLattice, Quiver, build_aux, mask_sum, sample_omega
+from quiverdt.lattice import AuxLattice, Quiver, build_aux, mask_sum
 from quiverdt.trees import is_leaf, leaf_mask
+
+from flow_reference import epsilon_signs, run_flow, supported_trees, tree_sum, tree_weight
 
 
 def _fr(*values):
@@ -45,7 +48,7 @@ def test_flow_rank2_lands_at_origin():
 
 def test_flow_wall_membership_rank3():
     omega = sample_omega(K2_AUX, 0).entries
-    for tree in kappa_supported_trees(K2_AUX.eta, 3):
+    for tree in supported_trees(K2_AUX.eta, 3):
         if is_leaf(tree):
             continue
         fa = run_flow(tree, K2_AUX.alpha, omega)
@@ -94,7 +97,7 @@ def test_child_relabeling_invariance():
         r = rng.randrange(2, 6)
         aux = random_instance(r, trial + 500)
         omega = sample_omega(aux, 0).entries
-        supported = [t for t in kappa_supported_trees(aux.eta, r) if not is_leaf(t)]
+        supported = [t for t in supported_trees(aux.eta, r) if not is_leaf(t)]
         if not supported:
             continue
         tree = supported[rng.randrange(len(supported))]
@@ -104,9 +107,9 @@ def test_child_relabeling_invariance():
         by_mask_a = {leaf_mask(k): v for k, v in fa.items() if k is not None}
         by_mask_b = {leaf_mask(k): v for k, v in fb.items() if k is not None}
         assert by_mask_a == by_mask_b
-        mf, me = _MaskForm(omega), _MaskForm(aux.eta)
-        wa = _tree_weight(tree, aux.alpha, mf, me)
-        wb = _tree_weight(flipped, aux.alpha, mf, me)
+        ctx = scalar_context(aux.eta, r)
+        wa = tree_weight(tree, aux.alpha, omega, ctx)
+        wb = tree_weight(flipped, aux.alpha, omega, ctx)
         assert (wa is None and wb is None) or wa == wb
 
 
@@ -115,7 +118,7 @@ def test_flow_linearity_in_alpha():
     rng = random.Random(21)
     eta = K2_AUX.eta
     omega = sample_omega(K2_AUX, 1).entries
-    trees = [t for t in kappa_supported_trees(eta, 3) if not is_leaf(t)]
+    trees = [t for t in supported_trees(eta, 3) if not is_leaf(t)]
     for _ in range(10):
         a1 = [Fraction(rng.randrange(-5, 6)) for _ in range(2)]
         a2 = [Fraction(rng.randrange(-5, 6)) for _ in range(2)]
@@ -168,11 +171,6 @@ def test_scalar_invalid_mode():
         flow_tree_scalar(K2_AUX, mode="gamma")
 
 
-def test_parallel_reduction_matches_sequential():
-    aux = random_instance(4, 99)
-    assert flow_tree_scalar(aux, workers=3) == flow_tree_scalar(aux, workers=1)
-
-
 def test_flow_tree_map_scalar_reduction():
     aux = K2_AUX
     omega = sample_omega(aux, 0)
@@ -198,3 +196,88 @@ def test_flow_tree_sum_subset():
     # the pair {1, 3} has eta-pairing 2; its two-leaf sum is a rank-2 coefficient
     value = flow_tree_sum([1, 3], aux.eta, ctx, aux.alpha, omega)
     assert value in (LaurentPoly.zero(), -kappa(2))
+
+
+def _perturbation(aux, mode, seed):
+    """(start, form) of the perturbation flow_tree_scalar certifies for the seed."""
+    if mode == "omega":
+        return aux.alpha, sample_omega(aux, seed).entries
+    eta_frac = tuple(tuple(Fraction(x) for x in row) for row in aux.eta)
+    return sample_beta(aux, seed), eta_frac
+
+
+@pytest.mark.parametrize("mode", ["omega", "beta"])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+def test_split_evaluator_equals_tree_sum(r, mode):
+    for trial in range(4 if r < 6 else 2):
+        aux = random_instance(r, 700 + 10 * r + trial)
+        start, form = _perturbation(aux, mode, trial)
+        expected = tree_sum(r, aux.eta, start, form, scalar_context(aux.eta, r))
+        assert flow_tree_scalar(aux, mode=mode, seed=trial) == expected
+
+
+class _Words(dict):
+    """Free antisymmetric bracket: tree encodings with Laurent coefficients.
+
+    Every tree is a basis vector of its own, so a sum of these values
+    equals another only if the two sums agree tree by tree.
+    """
+
+    def __add__(self, other):
+        out = _Words(self)
+        for word, coeff in other.items():
+            total = out.get(word, LaurentPoly.zero()) + coeff
+            if total.is_zero():
+                out.pop(word, None)
+            else:
+                out[word] = total
+        return out
+
+    def __neg__(self):
+        return _Words({word: -coeff for word, coeff in self.items()})
+
+
+def _words_context(eta, r):
+    def bracket(x, y, mx, my):
+        k = kappa(sum(eta[i][j] for i in range(r) for j in range(r) if mx >> i & 1 and my >> j & 1))
+        out = _Words()
+        for wx, cx in x.items():
+            for wy, cy in y.items():
+                # Child order of the tree encoding: the side with the lower index first.
+                word, sign = ((wx, wy), 1) if (mx & -mx) < (my & -my) else ((wy, wx), -1)
+                out = out + _Words({word: k * cx * cy * sign})
+        return out
+
+    return BracketContext(
+        bracket=bracket,
+        leaf_values={i: _Words({i: LaurentPoly.const(1)}) for i in range(1, r + 1)},
+        zero=_Words(),
+    )
+
+
+@pytest.mark.parametrize("mode", ["omega", "beta"])
+def test_split_evaluator_equals_tree_sum_free_bracket(mode):
+    nonzero = 0
+    for r in range(2, 6):
+        for trial in range(3):
+            aux = random_instance(r, 800 + 10 * r + trial)
+            start, form = _perturbation(aux, mode, trial)
+            ctx = _words_context(aux.eta, r)
+            value = flow_tree_map(aux, ctx, start, form)
+            assert value == tree_sum(r, aux.eta, start, form, ctx)
+            nonzero += bool(value)
+    assert nonzero > 0
+
+
+def test_zero_sibling_value_still_checks_signs():
+    # With eta itself from this start point, one sign argument vanishes, and
+    # only below the right side of a split whose left side holds leaf 1.
+    # Leaf 1 carries the value 0, so that left side is zero whatever the
+    # signs; the evaluator must still read the right side and refuse.
+    eta = ((0, 1, 1, 2), (-1, 0, 1, 0), (-1, -1, 0, 2), (-2, 0, -2, 0))
+    start = _fr(2, 2, 2, -6)
+    ctx = scalar_context(eta, 4)
+    ctx.leaf_values[1] = LaurentPoly.zero()
+    eta_frac = tuple(tuple(Fraction(x) for x in row) for row in eta)
+    with pytest.raises(ZeroSignArgument):
+        flow_tree_sum(range(1, 5), eta, ctx, start, eta_frac)

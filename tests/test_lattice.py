@@ -1,11 +1,17 @@
 """Quivers, the auxiliary lattice, genericity predicates and samplers."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quiverdt.errors import InvalidInput, NotGenericAlpha, NotOnWall
-from quiverdt.flow import flow_conditions_hold, kappa_supported_trees
+import quiverdt.lattice as quiverdt_lattice
+
+from quiverdt.errors import GenericityError, InvalidInput, NotGenericAlpha, NotOnWall
+from quiverdt.flow import sample_beta, sample_omega
 from quiverdt.lattice import (
     AuxLattice,
     Quiver,
@@ -21,10 +27,10 @@ from quiverdt.lattice import (
     parse_covector,
     parse_dimvec,
     parse_quiver,
-    sample_beta,
-    sample_omega,
 )
-from quiverdt.trees import enumerate_trees, filter_eta
+from quiverdt.trees import enumerate_trees, is_leaf, leaf_mask
+
+from flow_reference import epsilon_signs, run_flow, supported_trees
 
 
 def test_euler_skew_kronecker():
@@ -152,6 +158,16 @@ def test_gamma_generic_implies_alpha_generic():
         found += 1
 
 
+def _flow_conditions_hold(tree_list, start, form) -> bool:
+    """The flow runs down every listed tree with no vanishing sign argument."""
+    for tree in tree_list:
+        try:
+            epsilon_signs(tree, run_flow(tree, start, form), form)
+        except GenericityError:
+            return False
+    return True
+
+
 def _postcondition_omega(aux, omega):
     r = aux.r
     # sign agreement with eta on every pair of {0,1}-vectors
@@ -167,8 +183,11 @@ def _postcondition_omega(aux, omega):
             if ma < mb and not ma & mb:
                 assert pair_masks(omega, ma, mb) != 0
     # flow sign-definiteness over the eta-relevant trees
-    tree_list = list(filter_eta(enumerate_trees(range(1, r + 1)), aux.eta))
-    assert flow_conditions_hold(tree_list, aux.alpha, omega)
+    tree_list = [
+        t for t in enumerate_trees(range(1, r + 1))
+        if is_leaf(t) or pair_masks(aux.eta, leaf_mask(t[0]), leaf_mask(t[1])) != 0
+    ]
+    assert _flow_conditions_hold(tree_list, aux.alpha, omega)
 
 
 def test_sample_omega_rank2():
@@ -217,7 +236,7 @@ def test_sample_beta_rank3_postconditions():
             assert b != 0 and (b > 0) == (a > 0)
     # eta-flow is sign-definite from beta on the kappa-supported trees
     eta_frac = tuple(tuple(Fraction(x) for x in row) for row in aux.eta)
-    assert flow_conditions_hold(kappa_supported_trees(aux.eta, aux.r), beta, eta_frac)
+    assert _flow_conditions_hold(supported_trees(aux.eta, aux.r), beta, eta_frac)
     # beta is not alpha here: the exact flow from alpha collapses to zero
     assert beta != aux.alpha
 
@@ -238,3 +257,15 @@ def test_parse_quiver_and_vectors():
 def test_skewform_validation():
     with pytest.raises(InvalidInput):
         SkewForm(((0, 1), (1, 0)))
+
+
+def test_lattice_imports_neither_flow_nor_trees():
+    code = (
+        "import sys, quiverdt.lattice\n"
+        "print(sorted(m for m in sys.modules if m in ('quiverdt.flow', 'quiverdt.trees')))\n"
+    )
+    src = Path(quiverdt_lattice.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out == "[]\n"

@@ -202,8 +202,7 @@ def test_joint_consistency_rank3_kronecker2():
 def test_flow_tree_map_matches_joint_wall_value():
     # the graded-bracket evaluation at the start point is exactly the wall
     # value that the joint check telescopes
-    from quiverdt.flow import flow_tree_map, scalar_context
-    from quiverdt.lattice import sample_omega
+    from quiverdt.flow import flow_tree_map, sample_omega, scalar_context
 
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
     report = check_joint_consistency(aux, seed=3)

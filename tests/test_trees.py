@@ -1,13 +1,11 @@
-"""Tree enumeration, charges and the eta filter."""
+"""Tree enumeration and charges."""
 
 import pytest
 
-from quiverdt.lattice import pair_masks
 from quiverdt.trees import (
     charge,
     edge_count,
     enumerate_trees,
-    filter_eta,
     interior_vertices,
     is_leaf,
     leaf_mask,
@@ -61,24 +59,6 @@ def test_canonical_child_order():
             assert min(i + 1 for i in range(5) if leaf_mask(node[0]) >> i & 1) < min(
                 i + 1 for i in range(5) if leaf_mask(node[1]) >> i & 1
             )
-
-
-def test_filter_eta_rank2():
-    trees2 = list(enumerate_trees([1, 2]))
-    assert list(filter_eta(trees2, ((0, 0), (0, 0)))) == []
-    assert list(filter_eta(trees2, ((0, 3), (-3, 0)))) == trees2
-
-
-def test_filter_eta_keeps_single_leaf():
-    assert list(filter_eta(enumerate_trees([1]), ((0,),))) == [1]
-
-
-def test_filter_eta_rank3_kronecker2():
-    eta = ((0, 0, 2), (0, 0, 2), (-2, -2, 0))
-    kept = list(filter_eta(enumerate_trees([1, 2, 3]), eta))
-    assert len(kept) == 3
-    for tree in kept:
-        assert pair_masks(eta, leaf_mask(tree[0]), leaf_mask(tree[1])) != 0
 
 
 def test_render_tree():
