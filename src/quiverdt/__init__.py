@@ -32,10 +32,8 @@ _EXPORTS = {
     "scattering": (
         "GradedLie",
         "Rank2Diagram",
-        "bch_log_product",
         "check_joint_consistency",
         "dt_from_rank2",
-        "path_ordered_product",
         "reconstruct_rank2",
     ),
     "trees": ("enumerate_trees", "render_tree", "tree_count"),

@@ -9,8 +9,9 @@ Three value types live here:
 
 * ``LaurentPoly`` -- elements of Q[y, y^-1], the value type of kappa.
 * ``BiLaurent``   -- elements of Q[y^±1, t^±1].
-* ``RatFunc``     -- normalized fractions of BiLaurent; equality is decided
-  by cross-multiplication, so no multivariate gcd is ever required.
+* ``RatFunc``     -- elements of Q(y)[t^±1]: a BiLaurent over a denominator
+  in y alone, stored in a canonical form, so equal values have equal
+  fields, hashes and renderings and only a univariate gcd is ever needed.
 
 The canonical text rendering (ascending y-exponent, then ascending
 t-exponent, explicit signs, ``y^-1``-style exponents) is the bit-exact
@@ -22,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InvalidInput
+from .errors import InvalidInput, NotPolynomial
 
 # Arbitrary-precision rational; reduced form and positive denominator are
 # maintained by the stdlib type itself.
@@ -265,47 +266,6 @@ class BiLaurent:
         e = min(self._terms)
         return e, self._terms[e]
 
-    def is_univariate_y(self) -> bool:
-        return all(te == 0 for (_, te) in self._terms)
-
-    def exact_div(self, other: "BiLaurent"):
-        """Return self / other when the division is exact, else None.
-
-        Both polynomials are shifted into nonnegative exponents, where
-        single-divisor lex division terminates; a leading remainder term
-        not divisible by the divisor's leading term proves the quotient
-        does not exist (lex-leading terms are multiplicative).
-        """
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return BiLaurent.zero()
-        shift_n = (min(e[0] for e in self._terms), min(e[1] for e in self._terms))
-        shift_d = (min(e[0] for e in other._terms), min(e[1] for e in other._terms))
-        rem = {(e[0] - shift_n[0], e[1] - shift_n[1]): c for e, c in self._terms.items()}
-        den = {(e[0] - shift_d[0], e[1] - shift_d[1]): c for e, c in other._terms.items()}
-        lead_e = max(den)
-        lead_c = den[lead_e]
-        quo = {}
-        while rem:
-            e = max(rem)
-            if e[0] < lead_e[0] or e[1] < lead_e[1]:
-                return None
-            q_e = (e[0] - lead_e[0], e[1] - lead_e[1])
-            q_c = rem[e] / lead_c
-            quo[q_e] = q_c
-            for (oy, ot), oc in den.items():
-                key = (q_e[0] + oy, q_e[1] + ot)
-                s = rem.get(key, 0) - q_c * oc
-                if s:
-                    rem[key] = s
-                elif key in rem:
-                    del rem[key]
-        off = (shift_n[0] - shift_d[0], shift_n[1] - shift_d[1])
-        res = BiLaurent.__new__(BiLaurent)
-        res._terms = {(e[0] + off[0], e[1] + off[1]): c for e, c in quo.items() if c}
-        return res
-
     def render(self) -> str:
         return _render(self._terms, ("y", "t"))
 
@@ -318,63 +278,62 @@ def substitute_power(f: BiLaurent, k: int) -> BiLaurent:
     return f.substitute_power(k)
 
 
+def _divmod_y(a: dict, b: dict):
+    """Quotient and remainder of polynomials in y given as {exp: coeff}, exps >= 0."""
+    db = max(b)
+    lb = Fraction(b[db])
+    quo = {}
+    rem = dict(a)
+    while rem:
+        dr = max(rem)
+        if dr < db:
+            break
+        q = rem[dr] / lb
+        quo[dr - db] = q
+        for e, c in b.items():
+            key = dr - db + e
+            s = rem.get(key, 0) - q * c
+            if s:
+                rem[key] = s
+            elif key in rem:
+                del rem[key]
+    return quo, rem
+
+
 def _gcd_poly_y(a: dict, b: dict) -> dict:
     """Monic gcd of two nonzero polynomials in y given as {exp: coeff}, exps >= 0."""
-    def degree(p):
-        return max(p)
-
-    def monic(p):
-        lc = p[degree(p)]
-        return {e: c / lc for e, c in p.items()} if lc != 1 else p
-
     while b:
-        # a mod b
-        db = degree(b)
-        lb = b[db]
-        r = dict(a)
-        while r and degree(r) >= db:
-            dr = degree(r)
-            q = r[dr] / lb
-            for e, c in b.items():
-                key = dr - db + e
-                s = r.get(key, 0) - q * c
-                if s:
-                    r[key] = s
-                elif key in r:
-                    del r[key]
-        a, b = b, r
-    return monic(a)
+        a, b = b, _divmod_y(a, b)[1]
+    lc = Fraction(a[max(a)])
+    return {e: c / lc for e, c in a.items()}
+
+
+def _shift_down(p: dict):
+    """(lowest exponent, p divided by y^lowest) for a nonzero {exp: coeff}."""
+    lo = min(p)
+    return lo, {e - lo: c for e, c in p.items()}
 
 
 class RatFunc:
-    """Normalized fraction of two BiLaurent polynomials.
+    """Element of Q(y)[t^±1]: a BiLaurent numerator over a Laurent polynomial in y.
 
-    The stored pair is canonicalized by dividing numerator and denominator
-    by the denominator's lexicographically smallest term (coefficient and
-    monomial), so the denominator's smallest term is the constant +1.
-    When the denominator only involves y, the common univariate gcd is
-    also removed; this keeps repeated sums from snowballing.  Equality is
-    exact, by cross-multiplication.
+    The stored pair is canonical: the gcd over Q[y] of the denominator and
+    every t-slice of the numerator is cancelled, then both are scaled so
+    that the denominator's lowest term is the constant +1.  A y-only
+    irreducible divides the numerator exactly when it divides every
+    t-slice, so equal fractions store equal fields; equality and hashing
+    compare them directly.  A denominator involving t raises InvalidInput.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, LaurentPoly):
-            num = num.to_bilaurent()
-        if isinstance(num, (int, Fraction)):
-            num = BiLaurent.const(num)
-        if den is None:
-            den = BiLaurent.const(1)
-        if isinstance(den, LaurentPoly):
-            den = den.to_bilaurent()
-        if isinstance(den, (int, Fraction)):
-            den = BiLaurent.const(den)
+    def __init__(self, num, den=1):
+        num, den = _as_bilaurent(num), _as_bilaurent(den)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
+        if any(te for (_, te) in den._terms):
+            raise InvalidInput(f"denominator is not a polynomial in y: {den.render()}")
+        self.num, self.den = _normalize(num, den)
 
     @staticmethod
     def zero() -> "RatFunc":
@@ -410,19 +369,13 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "RatFunc":
-        if self.num.is_zero():
-            raise ZeroDivisionError("inverse of the zero function")
-        return RatFunc(self.den, self.num)
-
     def __eq__(self, other) -> bool:
+        if not isinstance(other, (RatFunc, BiLaurent, LaurentPoly, int, Fraction)):
+            return NotImplemented
         other = _as_ratfunc(other)
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        # Hash through the canonical polynomial when there is one; fractions
-        # that only differ by a common factor then still hash alike only if
-        # reduced alike, which normalization guarantees for our value flow.
         return hash((self.num, self.den))
 
     def substitute_power(self, k: int) -> "RatFunc":
@@ -430,23 +383,28 @@ class RatFunc:
 
     def to_bilaurent(self) -> BiLaurent:
         """Exact polynomial value; raises NotPolynomial when the fraction is not one."""
-        from .errors import NotPolynomial
-
-        q = self.num.exact_div(self.den)
-        if q is None:
+        if self.den != _ONE:
             raise NotPolynomial(f"not a Laurent polynomial: {self.render()}")
-        return q
-
-    def is_polynomial(self) -> bool:
-        return self.num.exact_div(self.den) is not None
+        return self.num
 
     def render(self) -> str:
-        if self.den == BiLaurent.const(1):
+        if self.den == _ONE:
             return self.num.render()
         return f"({self.num.render()}) / ({self.den.render()})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self.render()})"
+
+
+_ONE = BiLaurent.const(1)
+
+
+def _as_bilaurent(x) -> BiLaurent:
+    if isinstance(x, BiLaurent):
+        return x
+    if isinstance(x, LaurentPoly):
+        return x.to_bilaurent()
+    return BiLaurent.const(x)
 
 
 def _as_ratfunc(x) -> RatFunc:
@@ -456,38 +414,37 @@ def _as_ratfunc(x) -> RatFunc:
 
 
 def _normalize(num: BiLaurent, den: BiLaurent):
+    """The canonical pair of num / den, for a nonzero y-only den."""
     if num.is_zero():
-        return BiLaurent.zero(), BiLaurent.const(1)
-    (ye, te), c = den.smallest_term()
-    if (ye, te) != (0, 0) or c != 1:
-        scale = BiLaurent.monomial(-ye, -te, Fraction(1, 1) / c)
-        num = num * scale
-        den = den * scale
-    if den.is_univariate_y() and len(den._terms) > 1:
-        num, den = _reduce_univariate_y(num, den)
+        return num, _ONE
+    if len(den._terms) > 1:
+        num, den = _cancel_gcd(num, den)
+    (ye, _), c = den.smallest_term()
+    if ye or c != 1:
+        scale = BiLaurent.monomial(-ye, 0, Fraction(1) / c)
+        num, den = num * scale, den * scale
     return num, den
 
 
-def _reduce_univariate_y(num: BiLaurent, den: BiLaurent):
-    """Cancel the gcd over Q[y] of a y-only denominator against the numerator."""
-    shift = min(e for (e, _) in den._terms)
-    den_p = {e - shift: c for (e, _), c in den._terms.items()}
+def _cancel_gcd(num: BiLaurent, den: BiLaurent):
+    """Divide num and den by the gcd over Q[y] of den and every t-slice of num."""
+    slices: dict = {}
+    for (ye, te), c in num._terms.items():
+        slices.setdefault(te, {})[ye] = c
+    shifted = {te: _shift_down(p) for te, p in slices.items()}
+    den_lo, den_p = _shift_down({ye: c for (ye, _), c in den._terms.items()})
     g = den_p
-    for t_exp in {te for (_, te) in num._terms}:
-        slice_terms = {ye for (ye, te) in num._terms if te == t_exp}
-        lo = min(slice_terms)
-        p = {ye - lo: num._terms[(ye, t_exp)] for ye in slice_terms}
+    for _, p in shifted.values():
         g = _gcd_poly_y(g, p)
-        if max(g) == 0:
+        if len(g) == 1:
             return num, den
-    g_bi = BiLaurent({(e, 0): c for e, c in g.items()})
-    num_q = num.exact_div(g_bi)
-    den_q = den.exact_div(g_bi)
-    if num_q is None or den_q is None:  # pragma: no cover - gcd guarantees exactness
-        return num, den
-    (ye, te), c = den_q.smallest_term()
-    scale = BiLaurent.monomial(-ye, -te, Fraction(1, 1) / c)
-    return num_q * scale, den_q * scale
+    quo = {
+        (e + lo, te): c
+        for te, (lo, p) in shifted.items()
+        for e, c in _divmod_y(p, g)[0].items()
+    }
+    den_q = _divmod_y(den_p, g)[0]
+    return BiLaurent(quo), BiLaurent({(e + den_lo, 0): c for e, c in den_q.items()})
 
 
 # ---------------------------------------------------------------------------

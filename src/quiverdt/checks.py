@@ -19,7 +19,7 @@ from .dt import (
 )
 from .errors import ConsistencyFailure, GenericityError
 from .flow import flow_tree_scalar
-from .lattice import AuxLattice, Quiver, _rng, alpha_is_generic, is_gamma_generic
+from .lattice import AuxLattice, Quiver, _rng, alpha_is_generic, euler_skew, is_gamma_generic
 from .scattering import check_joint_consistency, dt_from_rank2, reconstruct_rank2
 
 
@@ -127,19 +127,22 @@ def check_multicover(trials: int, seed: int = 0, max_gamma=(4, 4)) -> CheckResul
     return result
 
 
-def kronecker_oracle_data(m: int, degree_bound: int):
-    """Initial data of the Kronecker-m stability diagram with acyclic attractors."""
-    table = AttractorTable(acyclic_default=True)
+def rank2_initial_data(table: AttractorTable, degree_bound: int) -> dict:
+    """Nonzero rational attractor values of the rank-2 classes up to the degree bound."""
     initial = {}
     for a in range(degree_bound + 1):
         for b in range(degree_bound + 1 - a):
-            gamma = (a, b)
-            if not any(gamma):
-                continue
-            value = table.rational_value(gamma)
-            if not value.is_zero():
-                initial[gamma] = value
-    return table, initial
+            if a or b:
+                value = table.rational_value((a, b))
+                if not value.is_zero():
+                    initial[(a, b)] = value
+    return initial
+
+
+def kronecker_oracle_data(m: int, degree_bound: int):
+    """Initial data of the Kronecker-m stability diagram with acyclic attractors."""
+    table = AttractorTable(acyclic_default=True)
+    return table, rank2_initial_data(table, degree_bound)
 
 
 def check_oracle(m: int, max_dim: int, seed: int = 0) -> CheckResult:
@@ -173,16 +176,12 @@ def check_oracle(m: int, max_dim: int, seed: int = 0) -> CheckResult:
 
 
 def quiver_skew(q: Quiver):
-    from .lattice import euler_skew
-
     return euler_skew(q).matrix
 
 
 def _chamber_representatives(q: Quiver, gamma):
     """One gamma-generic theta per chamber of the wall of gamma."""
-    from .lattice import euler_skew
-
-    form = euler_skew(q).matrix
+    form = quiver_skew(q)
     att = (
         gamma[0] * form[0][0] + gamma[1] * form[1][0],
         gamma[0] * form[0][1] + gamma[1] * form[1][1],

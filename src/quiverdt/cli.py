@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import checks
-from .dt import AttractorTable, FCache, assemble_dt, dt_integer_value
+from .algebra import BiLaurent
+from .dt import AttractorTable, FCache, assemble_divisors, integer_from_rational
 from .errors import (
     ConsistencyFailure,
     GenericityError,
@@ -21,7 +22,7 @@ from .errors import (
     NotPolynomial,
 )
 from .flow import flow_tree_scalar
-from .lattice import build_aux, parse_covector, parse_dimvec, parse_quiver
+from .lattice import Quiver, build_aux, parse_covector, parse_dimvec, parse_quiver
 from .scattering import reconstruct_rank2
 from .trees import enumerate_trees, render_tree, tree_count
 
@@ -72,10 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_attractor(path) -> AttractorTable:
+def _load_attractor(path, vertex_count: int) -> AttractorTable:
     if path is None:
         return AttractorTable(acyclic_default=True)
-    return AttractorTable.parse(Path(path).read_text())
+    table = AttractorTable.parse(Path(path).read_text())
+    for gamma in table.entries:
+        if len(gamma) != vertex_count:
+            raise InvalidInput(
+                f"attractor class {gamma} does not fit a {vertex_count}-vertex quiver"
+            )
+    return table
 
 
 def _cmd_trees(args, out) -> int:
@@ -107,33 +114,16 @@ def _cmd_dt(args, out) -> int:
     quiver = parse_quiver(Path(args.quiver).read_text())
     gamma = parse_dimvec(args.gamma)
     theta = parse_covector(args.theta)
-    table = _load_attractor(args.attractor)
+    table = _load_attractor(args.attractor, quiver.vertex_count)
     cache = FCache(args.cache)
     machine = args.format == "machine"
-    rational = assemble_dt(
-        quiver,
-        gamma,
-        theta,
-        table,
-        mode=args.mode,
-        seed=args.seed,
-        budget=args.budget,
-        cache=cache,
+    rational = assemble_divisors(
+        quiver, gamma, theta, table, mode=args.mode, seed=args.seed, budget=args.budget, cache=cache
     )
-    out.write(
-        f"omega_bar={rational.render()}\n" if machine else f"Omega_bar = {rational.render()}\n"
-    )
+    value = rational[gamma].render()
+    out.write(f"omega_bar={value}\n" if machine else f"Omega_bar = {value}\n")
     try:
-        integral = dt_integer_value(
-            quiver,
-            gamma,
-            theta,
-            table,
-            mode=args.mode,
-            seed=args.seed,
-            budget=args.budget,
-            cache=cache,
-        )
+        integral = integer_from_rational(rational).get(gamma, BiLaurent.zero())
     except NotPolynomial as exc:
         print(f"warning: {exc}", file=sys.stderr)
         return 0
@@ -149,18 +139,9 @@ def _cmd_oracle(args, out) -> int:
         if quiver.vertex_count != 2:
             raise InvalidInput("the rank-2 oracle needs a 2-vertex quiver")
     else:
-        from .lattice import Quiver
-
         quiver = Quiver.kronecker(args.m)
-    table = _load_attractor(args.attractor)
-    initial = {}
-    for a in range(args.degree + 1):
-        for b in range(args.degree + 1 - a):
-            if a == 0 and b == 0:
-                continue
-            value = table.rational_value((a, b))
-            if not value.is_zero():
-                initial[(a, b)] = value
+    table = _load_attractor(args.attractor, quiver.vertex_count)
+    initial = checks.rank2_initial_data(table, args.degree)
     diagram = reconstruct_rank2(initial, checks.quiver_skew(quiver), args.degree)
     for _, (class_vec, coeff) in diagram.ray_entries():
         out.write(f"ray {class_vec[0]},{class_vec[1]} : {coeff.render()}\n")

@@ -123,6 +123,8 @@ class AttractorTable:
             if len(right) != 2 or right[0].strip() != "omega_star":
                 raise InvalidInput(f"line {lineno}: bad omega_star clause")
             gamma = parse_dimvec(left[1].strip())
+            if not is_positive_dimvec(gamma):
+                raise InvalidInput(f"line {lineno}: {gamma} is not a positive class")
             try:
                 entries[gamma] = RatFunc(parse_bilaurent(right[1].strip()))
             except (ValueError, ZeroDivisionError) as exc:
@@ -248,7 +250,10 @@ class FCache:
         self.memory: dict = {}
         self.directory = Path(directory) if directory else None
         if self.directory:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise InvalidInput(f"cannot create the cache directory {directory}: {exc}") from exc
 
     @staticmethod
     def key_for(aux: AuxLattice) -> str:
@@ -347,6 +352,29 @@ def assemble_dt(
     return total
 
 
+def assemble_divisors(
+    q: Quiver,
+    gamma,
+    theta,
+    table: AttractorTable,
+    mode: str = "omega",
+    seed: int = 0,
+    budget: int = 1000,
+    cache: FCache | None = None,
+) -> dict:
+    """assemble_dt of gamma and of every class gamma / k, keyed by class, gamma first.
+
+    The result is divisor-closed, so integer_from_rational inverts it.
+    """
+    gamma = tuple(gamma)
+    if not is_positive_dimvec(gamma):
+        raise InvalidInput(f"not a positive dimension vector: {gamma}")
+    return {
+        base: assemble_dt(q, base, theta, table, mode=mode, seed=seed, budget=budget, cache=cache)
+        for _, base in _divisors_of_vector(gamma)
+    }
+
+
 def dt_integer_value(
     q: Quiver,
     gamma,
@@ -363,10 +391,7 @@ def dt_integer_value(
     Laurent polynomial.
     """
     gamma = tuple(gamma)
-    rational = {}
-    for _, base in _divisors_of_vector(gamma):
-        rational[base] = assemble_dt(
-            q, base, theta, table, mode=mode, seed=seed, budget=budget, cache=cache
-        )
-    integer_values = integer_from_rational(rational)
-    return integer_values.get(gamma, BiLaurent.zero())
+    rational = assemble_divisors(
+        q, gamma, theta, table, mode=mode, seed=seed, budget=budget, cache=cache
+    )
+    return integer_from_rational(rational).get(gamma, BiLaurent.zero())

@@ -381,6 +381,8 @@ def parse_quiver(text: str) -> Quiver:
             continue
         parts = line.split()
         if parts[0] == "vertices" and len(parts) == 2:
+            if vertex_count is not None:
+                raise InvalidInput(f"line {lineno}: repeated 'vertices' statement")
             (vertex_count,) = _int_fields(parts[1:], lineno)
             if vertex_count <= 0:
                 raise InvalidInput(f"line {lineno}: vertex count must be positive")

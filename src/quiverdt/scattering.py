@@ -1,27 +1,24 @@
-"""Graded nilpotent Lie algebras, BCH products and the rank-2 oracle.
+"""Graded nilpotent Lie algebras and the rank-2 scattering oracle.
 
 Lie elements are sparse dictionaries mapping lattice classes to rational-
-function coefficients, with bracket [z^a, z^b] = kappa(<a, b>) z^{a+b}.
-Two gradings occur: the quiver lattice truncated by total dimension, and
-the auxiliary {0,1}-vector mode where any product leaving the square-free
-region vanishes.
+function coefficients, with bracket [z^a, z^b] = kappa(<a, b>) z^{a+b},
+truncated by total dimension.
 
-bch_log_product follows the Dynkin expansion, which the finite grading
-truncates.  The rank-2 reconstruction needs many long path-ordered
-products, so it folds them in a faithful associative model of the group
-(z^n -> (y - y^-1)^{delta(n)-1} x^n with x^a x^b = (-y)^{<a,b>} x^{a+b});
-the Dynkin route is kept as the exported operation and the two are tested
-against each other.
+Path-ordered products of wall elements are folded in a faithful
+associative model of the unipotent group (z^n -> (y - y^-1)^{delta(n)-1}
+x^n with x^a x^b = (-y)^{<a,b>} x^{a+b}); the tests check it against the
+Dynkin expansion of the BCH series.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cmp_to_key, lru_cache
 
-from .algebra import BiLaurent, LaurentPoly, RatFunc, kappa
+from .algebra import BiLaurent, LaurentPoly, RatFunc, _as_ratfunc, kappa
 from .errors import (
     ConsistencyFailure,
     DegreeExceeded,
@@ -56,39 +53,25 @@ def _ym_power(j: int) -> BiLaurent:
     return out
 
 
-def _as_coeff(value) -> RatFunc:
-    if isinstance(value, RatFunc):
-        return value
-    return RatFunc(value)
-
-
 @dataclass(frozen=True)
 class GradedLie:
     """kappa-bracket Lie algebra graded by a positive cone of lattice points.
 
-    ``form`` is the integer skew matrix of the pairing.  With
-    ``restrict_01`` the support is the {0,1}-vectors and any bracket
-    leaving that set is zero; otherwise ``degree_bound`` truncates by
-    total dimension, keeping the algebra finitely graded.
+    ``form`` is the integer skew matrix of the pairing.  ``degree_bound``
+    truncates by total dimension, keeping the algebra finitely graded; a
+    bracket leaving the support is zero.
     """
 
     form: tuple
     degree_bound: int | None = None
-    restrict_01: bool = False
 
     def __post_init__(self):
-        if self.degree_bound is None and not self.restrict_01:
+        if self.degree_bound is None:
             raise InvalidInput("an untruncated lattice algebra is not finitely graded")
 
     @property
     def rank(self) -> int:
         return len(self.form)
-
-    @property
-    def effective_bound(self) -> int:
-        if self.degree_bound is not None:
-            return self.degree_bound
-        return self.rank
 
     def pairing(self, n1, n2) -> int:
         return sum(
@@ -102,9 +85,7 @@ class GradedLie:
     def in_support(self, n) -> bool:
         if len(n) != self.rank or any(c < 0 for c in n) or not any(n):
             return False
-        if self.restrict_01 and any(c > 1 for c in n):
-            return False
-        return sum(n) <= self.effective_bound
+        return sum(n) <= self.degree_bound
 
     def element(self, coeffs: dict) -> dict:
         out = {}
@@ -112,7 +93,7 @@ class GradedLie:
             n = tuple(n)
             if not self.in_support(n):
                 continue
-            c = _as_coeff(c)
+            c = _as_ratfunc(c)
             if not c.is_zero():
                 out[n] = c
         return out
@@ -152,74 +133,11 @@ def lie_add(a: dict, b: dict) -> dict:
 def lie_scale(a: dict, c) -> dict:
     if not c:
         return {}
-    return {n: _as_coeff(c) * v for n, v in a.items()}
-
-
-def _block_sequences(max_total: int):
-    """Sequences of (r_i, s_i) blocks, each nonzero, with at most max_total letters."""
-
-    def rec(remaining):
-        for r in range(remaining + 1):
-            for s in range(remaining - r + 1):
-                if r + s == 0:
-                    continue
-                head = ((r, s),)
-                yield head
-                for tail in rec(remaining - r - s):
-                    yield head + tail
-
-    yield from rec(max_total)
-
-
-def bch_log_product(alg: GradedLie, a: dict, b: dict) -> dict:
-    """log(exp(a) exp(b)) by the Dynkin expansion; finite by the grading bound."""
-    a = alg.element(a)
-    b = alg.element(b)
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    letters = (a, b)
-    word_values: dict = {(0,): a, (1,): b}
-
-    def word_value(word: tuple) -> dict:
-        value = word_values.get(word)
-        if value is None:
-            inner = word_value(word[1:])
-            value = alg.bracket(letters[word[0]], inner) if inner else {}
-            word_values[word] = value
-        return value
-
-    result: dict = {}
-    for blocks in _block_sequences(alg.effective_bound):
-        word = tuple(
-            letter for r, s in blocks for letter in (0,) * r + (1,) * s
-        )
-        value = word_value(word)
-        if not value:
-            continue
-        n = len(blocks)
-        weight = Fraction((-1) ** (n - 1), n * len(word))
-        for r, s in blocks:
-            weight /= math.factorial(r) * math.factorial(s)
-        result = lie_add(result, lie_scale(value, weight))
-    return result
-
-
-def path_ordered_product(alg: GradedLie, crossings) -> dict:
-    """log of the ordered product of exp(sign * element) over the crossings.
-
-    Crossings are given in the order they are met; later crossings
-    multiply on the left.
-    """
-    log = {}
-    for element, sign in crossings:
-        log = bch_log_product(alg, lie_scale(alg.element(element), sign), log)
-    return log
+    return {n: _as_ratfunc(c) * v for n, v in a.items()}
 
 
 # ---------------------------------------------------------------------------
-# associative model of the unipotent group (internal fast path)
+# associative model of the unipotent group
 
 
 class _TorusGroup:
@@ -281,11 +199,15 @@ class _TorusGroup:
 
 
 def assoc_log_product(alg: GradedLie, crossings) -> dict:
-    """Same contract as path_ordered_product, computed in the group model."""
+    """log of the ordered product of exp(sign * element) over the crossings.
+
+    Crossings are given in the order they are met; later crossings
+    multiply on the left.
+    """
     group = _TorusGroup(alg)
     g: dict = {}
     for element, sign in crossings:
-        g = group.group_mul(group.exp(lie_scale(alg.element(element), sign)), g)
+        g = group.group_mul(group.exp(lie_scale(element, sign)), g)
     return group.log(g)
 
 
@@ -322,20 +244,25 @@ def _half(d) -> int:
 
 
 def _sort_ccw(rays):
-    """Sort (direction, payload) pairs counterclockwise from the positive x-axis."""
-    import functools
+    """Sort (direction, rank, payload) counterclockwise from the positive x-axis.
+
+    Entries on one ray are ordered by rank; two entries with the same
+    direction and the same rank are coincident rays, a ConsistencyFailure.
+    """
 
     def cmp(a, b):
-        d1, d2 = a[0], b[0]
+        (d1, r1, _), (d2, r2, _) = a, b
         h1, h2 = _half(d1), _half(d2)
         if h1 != h2:
             return -1 if h1 < h2 else 1
         cross = d1[0] * d2[1] - d1[1] * d2[0]
-        if cross == 0:
+        if cross:
+            return -1 if cross > 0 else 1
+        if r1 == r2:
             raise ConsistencyFailure(f"coincident ray directions {d1} and {d2}")
-        return -1 if cross > 0 else 1
+        return -1 if r1 < r2 else 1
 
-    return sorted(rays, key=functools.cmp_to_key(cmp))
+    return sorted(rays, key=cmp_to_key(cmp))
 
 
 def _crossing_sign(normal, direction) -> int:
@@ -364,34 +291,20 @@ class Rank2Diagram:
         Multiples of one class share a geometric ray; they sort together,
         ordered by total dimension.
         """
-        import functools
-
         out = []
         for n, c in self.initial.items():
             d = _attractor_direction(self.form, _primitive(n)[0])
             if d != (0, 0) and not c.is_zero():
-                out.append((d, (n, c)))
+                out.append((d, (sum(n), n), (n, c)))
         for n, c in self.scattered.items():
             d = _attractor_direction(self.form, _primitive(n)[0])
             d = (-d[0], -d[1])
             if d != (0, 0) and not c.is_zero():
-                out.append((d, (n, c)))
-
-        def cmp(a, b):
-            d1, d2 = a[0], b[0]
-            h1, h2 = _half(d1), _half(d2)
-            if h1 != h2:
-                return -1 if h1 < h2 else 1
-            cross = d1[0] * d2[1] - d1[1] * d2[0]
-            if cross:
-                return -1 if cross > 0 else 1
-            n1, n2 = a[1][0], b[1][0]
-            return -1 if (sum(n1), n1) < (sum(n2), n2) else 1
-
-        return sorted(out, key=functools.cmp_to_key(cmp))
+                out.append((d, (sum(n), n), (n, c)))
+        return [(d, entry) for d, _, entry in _sort_ccw(out)]
 
 
-def _loop_rays(form, degree_bound, initial, scattered):
+def _loop_rays(form, initial, scattered):
     """Crossing-ordered (element, sign) list for a counterclockwise loop."""
     primitives = set()
     for n in list(initial) + list(scattered):
@@ -408,9 +321,9 @@ def _loop_rays(form, degree_bound, initial, scattered):
         sct_elt = {
             n: c for n, c in scattered.items() if _primitive(n)[0] == p and not c.is_zero()
         }
-        rays.append((d_att, (att_elt, _crossing_sign(p, d_att))))
-        rays.append((d_sct, (sct_elt, _crossing_sign(p, d_sct))))
-    return [payload for _, payload in _sort_ccw(rays)]
+        rays.append((d_att, 0, (att_elt, _crossing_sign(p, d_att))))
+        rays.append((d_sct, 0, (sct_elt, _crossing_sign(p, d_sct))))
+    return [payload for _, _, payload in _sort_ccw(rays)]
 
 
 def reconstruct_rank2(initial: dict, form, degree_bound: int, _shuffle_seed=None) -> Rank2Diagram:
@@ -432,7 +345,7 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int, _shuffle_seed=None
             raise InvalidInput(f"initial class {n} is not positive")
         if sum(n) > degree_bound:
             raise InvalidInput(f"initial class {n} exceeds the degree bound")
-        c = _as_coeff(c)
+        c = _as_ratfunc(c)
         if not c.is_zero():
             init[n] = c
     scattered = dict(init)
@@ -441,24 +354,13 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int, _shuffle_seed=None
         # Everything commutes; the diagram equals its initial data.
         return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=scattered)
 
-    if _shuffle_seed is not None:
-        import random as _random
-
-        shuffler = _random.Random(_shuffle_seed)
-    else:
-        shuffler = None
-
+    shuffler = None if _shuffle_seed is None else random.Random(_shuffle_seed)
     for level in range(1, degree_bound + 1):
-        alg = GradedLie(form=form, degree_bound=level)
-        group = _TorusGroup(alg)
-        crossings = _loop_rays(form, level, init, scattered)
+        crossings = _loop_rays(form, init, scattered)
         if shuffler:
             cut = shuffler.randrange(len(crossings))
             crossings = crossings[cut:] + crossings[:cut]
-        g: dict = {}
-        for element, sign in crossings:
-            g = group.group_mul(group.exp(lie_scale(element, sign)), g)
-        defect = group.log(g)
+        defect = assoc_log_product(GradedLie(form=form, degree_bound=level), crossings)
         for n, c in defect.items():
             if sum(n) < level:
                 raise ConsistencyFailure(
@@ -483,7 +385,7 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int, _shuffle_seed=None
                 scattered[n] = value
 
     alg = GradedLie(form=form, degree_bound=degree_bound)
-    final = assoc_log_product(alg, _loop_rays(form, degree_bound, init, scattered))
+    final = assoc_log_product(alg, _loop_rays(form, init, scattered))
     if final:
         raise ConsistencyFailure(f"reconstruction left a nonzero loop product: {final}")
     return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=dict(scattered))

@@ -13,7 +13,7 @@ from quiverdt.algebra import (
     parse_laurent,
     substitute_power,
 )
-from quiverdt.errors import NotPolynomial
+from quiverdt.errors import InvalidInput, NotPolynomial
 from quiverdt.lattice import _rng
 
 
@@ -57,6 +57,32 @@ def test_ratfunc_equality_by_cross_multiplication():
     a = RatFunc(BiLaurent.const(1), BiLaurent({(1, 0): 1, (-1, 0): 1}))
     b = RatFunc(BiLaurent({(1, 0): 1}), BiLaurent({(2, 0): 1, (0, 0): 1}))
     assert a == b
+    # equal values are stored alike, so they hash and render alike
+    assert (a.num, a.den) == (b.num, b.den)
+    assert hash(a) == hash(b) and a.render() == b.render()
+
+
+def test_ratfunc_common_factor_cancels_in_every_t_slice():
+    # (1 + y t)(1 + y) / ((1 + y)(1 + 2 y)) is (1 + y t) / (1 + 2 y)
+    one_plus_y = BiLaurent({(0, 0): 1, (1, 0): 1})
+    a = RatFunc(BiLaurent({(0, 0): 1, (1, 1): 1}) * one_plus_y,
+                one_plus_y * BiLaurent({(0, 0): 1, (1, 0): 2}))
+    b = RatFunc(BiLaurent({(0, 0): 1, (1, 1): 1}), BiLaurent({(0, 0): 1, (1, 0): 2}))
+    assert a == b and hash(a) == hash(b)
+    assert a.render() == "(1 + y*t) / (1 + 2*y)"
+
+
+def test_ratfunc_compares_unequal_to_other_types():
+    assert RatFunc(1) != None  # noqa: E711
+    assert RatFunc(1) != "1"
+    assert RatFunc(1) == 1 and RatFunc(LaurentPoly.const(2)) == Fraction(2)
+
+
+def test_ratfunc_t_denominator_rejected():
+    with pytest.raises(InvalidInput):
+        RatFunc(1, BiLaurent({(0, 0): 1, (0, 1): 2}))
+    with pytest.raises(InvalidInput):
+        RatFunc(BiLaurent({(1, 1): 1}), BiLaurent({(0, 1): 1}))
 
 
 def _random_laurent(rng):
@@ -73,7 +99,7 @@ def _random_ratfunc(rng):
         }
     )
     den_terms = {
-        (int(rng.integers(-2, 3)), int(rng.integers(-1, 2))): int(rng.integers(-3, 4))
+        (int(rng.integers(-2, 3)), 0): int(rng.integers(-3, 4))
         for _ in range(int(rng.integers(1, 3)))
     }
     den = BiLaurent(den_terms)
@@ -141,7 +167,7 @@ def test_parse_round_trip():
 def test_exact_division_and_not_polynomial():
     num = BiLaurent({(2, 0): 1, (-2, 0): -1})
     den = BiLaurent({(1, 0): 1, (-1, 0): -1})
-    assert num.exact_div(den) == BiLaurent({(1, 0): 1, (-1, 0): 1})
+    assert RatFunc(num, den).to_bilaurent() == BiLaurent({(1, 0): 1, (-1, 0): 1})
     f = RatFunc(BiLaurent.const(1), BiLaurent({(1, 0): 1, (-1, 0): 1}))
     with pytest.raises(NotPolynomial):
         f.to_bilaurent()

@@ -199,7 +199,7 @@ def test_dt_non_integral_warning(capsys, kronecker1, monkeypatch):
     def boom(*args, **kwargs):
         raise NotPolynomial("injected")
 
-    monkeypatch.setattr(cli, "dt_integer_value", boom)
+    monkeypatch.setattr(cli, "integer_from_rational", boom)
     code = main(["dt", "--quiver", kronecker1, "--gamma", "1,1", "--theta", "1,-1"])
     captured = capsys.readouterr()
     assert code == 0
@@ -219,8 +219,12 @@ def test_jobs_flag_same_bytes(capsys, kronecker2):
     [
         ("quiver", "vertices x\n"),
         ("quiver", "vertices 2\narrow 1 2 two\n"),
+        ("quiver", "vertices 2\narrow 1 2 1\nvertices 1\n"),
         ("attractor", "gamma = 1,1 ; omega_star = y^\n"),
         ("attractor", "gamma = 1,1 ; omega_star = 1/0\n"),
+        ("attractor", "gamma = 0,0 ; omega_star = 1\n"),
+        ("attractor", "gamma = -1,2 ; omega_star = 1\n"),
+        ("attractor", "gamma = 1,2,3 ; omega_star = 1\n"),
     ],
 )
 def test_malformed_files_exit_2(capsys, kronecker1, tmp_path, kind, text):
@@ -233,3 +237,43 @@ def test_malformed_files_exit_2(capsys, kronecker1, tmp_path, kind, text):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: "), err
+
+
+def test_oracle_rejects_attractor_of_wrong_length(capsys, tmp_path):
+    bad = tmp_path / "bad.attractor"
+    bad.write_text("default acyclic\ngamma = 1,2,3 ; omega_star = 1\n")
+    code = main(["oracle", "rank2", "--m", "2", "--degree", "3", "--attractor", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: "), err
+
+
+def test_uncreatable_cache_directory_exits_2(capsys, kronecker1, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = ["--cache", str(afile / "sub"), "dt", "--quiver", kronecker1, "--gamma", "1,1",
+            "--theta", "1,-1"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: "), err
+
+
+def test_dt_assembles_each_divisor_class_once(capsys, tmp_path, monkeypatch):
+    from quiverdt import cli, dt
+
+    path = tmp_path / "q3.quiver"
+    path.write_text("vertices 3\narrow 1 2 2\narrow 2 3 2\narrow 1 3 1\n")
+    calls = []
+    original = dt.assemble_dt
+
+    def recording(q, gamma, *args, **kwargs):
+        calls.append(tuple(gamma))
+        return original(q, gamma, *args, **kwargs)
+
+    for module in (cli, dt):
+        if getattr(module, "assemble_dt", None) is original:
+            monkeypatch.setattr(module, "assemble_dt", recording)
+    code, out = _run(
+        capsys, ["dt", "--quiver", str(path), "--gamma", "2,2,2", "--theta=-76,-70,146"]
+    )
+    assert code == 0 and out.startswith("Omega_bar = ") and "\nOmega = " in out
+    assert calls == [(2, 2, 2), (1, 1, 1)]

@@ -1,4 +1,4 @@
-"""Lie algebra brackets, BCH, the rank-2 oracle and joint consistency."""
+"""Lie algebra brackets, the group model against BCH, the rank-2 oracle and joint consistency."""
 
 from fractions import Fraction
 
@@ -7,19 +7,19 @@ import pytest
 from quiverdt.algebra import RatFunc, kappa
 from quiverdt.checks import kronecker_oracle_data, quiver_skew, random_instance
 from quiverdt.errors import ConsistencyFailure, DegreeExceeded, InvalidInput
-from quiverdt.lattice import Quiver, _rng, build_aux
+from quiverdt.lattice import Quiver, _iter_box, _rng, build_aux
 from quiverdt.scattering import (
     GradedLie,
     _loop_rays,
+    _sort_ccw,
     assoc_log_product,
-    bch_log_product,
     check_joint_consistency,
     dt_from_rank2,
     lie_add,
-    lie_scale,
-    path_ordered_product,
     reconstruct_rank2,
 )
+
+from lie_reference import bch_log_product, path_ordered_product, square_free
 
 RANK2 = GradedLie(form=((0, 1), (-1, 0)), degree_bound=4)
 
@@ -33,8 +33,8 @@ def _random_element(alg, rng, max_terms=3):
     out = {}
     classes = [
         (a, b)
-        for a in range(alg.effective_bound + 1)
-        for b in range(alg.effective_bound + 1 - a)
+        for a in range(alg.degree_bound + 1)
+        for b in range(alg.degree_bound + 1 - a)
         if (a, b) != (0, 0)
     ]
     for _ in range(max_terms):
@@ -67,7 +67,7 @@ def test_bch_degree_two_head():
 
 def test_bch_h_mode_rank3_example():
     eta = ((0, 0, 2), (0, 0, 2), (-2, -2, 0))
-    alg = GradedLie(form=eta, restrict_01=True)
+    alg = square_free(eta)
     log = bch_log_product(alg, {(1, 0, 0): 1}, {(0, 0, 1): 1})
     half_kappa2 = RatFunc(kappa(2)) * Fraction(1, 2)
     assert _lie_eq(
@@ -88,10 +88,36 @@ def test_bch_against_associative_model():
 
 def test_h_mode_bch_against_associative_model():
     eta = ((0, 1, -2), (-1, 0, 3), (2, -3, 0))
-    alg = GradedLie(form=eta, restrict_01=True)
+    alg = square_free(eta)
     a = {(1, 0, 0): 1, (0, 1, 0): Fraction(1, 2)}
     b = {(0, 0, 1): 2, (0, 1, 0): -1}
     assert _lie_eq(bch_log_product(alg, a, b), assoc_log_product(alg, [(b, 1), (a, 1)]))
+
+
+def test_path_ordered_products_agree_in_both_gradings():
+    # three signed crossings, degree-bounded rank 2 and {0,1}-graded rank 4
+    rng = _rng(33, "path-ordered")
+    eta = ((0, 1, -2, 1), (-1, 0, 3, 0), (2, -3, 0, -1), (-1, 0, 1, 0))
+    h_mode = square_free(eta)
+    h_classes = [n for n in _iter_box((1, 1, 1, 1)) if h_mode.in_support(n)]
+    assert len(h_classes) == 15
+    for trial in range(3):
+        crossings = [(_random_element(RANK2, rng), (-1) ** k) for k in range(3)]
+        assert _lie_eq(path_ordered_product(RANK2, crossings), assoc_log_product(RANK2, crossings))
+        crossings = []
+        for k in range(3):
+            n = h_classes[int(rng.integers(0, len(h_classes)))]
+            m = h_classes[int(rng.integers(0, len(h_classes)))]
+            crossings.append(({n: int(rng.integers(1, 4)), m: Fraction(1, 2)}, (-1) ** k))
+        assert _lie_eq(path_ordered_product(h_mode, crossings), assoc_log_product(h_mode, crossings))
+
+
+def test_coincident_loop_rays_rejected():
+    with pytest.raises(ConsistencyFailure):
+        _sort_ccw([((1, 1), 0, "a"), ((2, 2), 0, "b")])
+    assert [p for _, _, p in _sort_ccw([((2, 2), 1, "b"), ((1, 1), 0, "a"), ((1, 0), 5, "c")])] == [
+        "c", "a", "b"
+    ]
 
 
 def test_jacobi_identity_random():
@@ -110,7 +136,7 @@ def test_jacobi_identity_random():
 
 def test_h_mode_degenerate_bracket_vanishes():
     eta = ((0, 0, 2), (0, 0, 2), (-2, -2, 0))
-    alg = GradedLie(form=eta, restrict_01=True)
+    alg = square_free(eta)
     assert alg.bracket({(1, 0, 0): 1}, {(0, 1, 0): 1}) == {}
     # and products leaving the {0,1} region vanish
     assert alg.bracket({(1, 0, 1): 1}, {(1, 0, 0): 1}) == {}
@@ -146,7 +172,7 @@ def test_reconstruct_pentagon_loop_vanishes_via_bch():
     # verify the reconstructed A2 diagram with the Dynkin-BCH path product
     diag = reconstruct_rank2({(1, 0): 1, (0, 1): 1}, ((0, 1), (-1, 0)), 3)
     alg = GradedLie(form=diag.form, degree_bound=3)
-    crossings = _loop_rays(diag.form, 3, diag.initial, diag.scattered)
+    crossings = _loop_rays(diag.form, diag.initial, diag.scattered)
     assert path_ordered_product(alg, crossings) == {}
 
 
@@ -159,7 +185,7 @@ def test_reconstruct_k2_self_check_and_rays():
     # the consistency of the final diagram is asserted inside reconstruct_rank2;
     # verify the lowest degrees once more through the Dynkin route
     low = GradedLie(form=diag.form, degree_bound=3)
-    crossings = _loop_rays(diag.form, 3, diag.initial, diag.scattered)
+    crossings = _loop_rays(diag.form, diag.initial, diag.scattered)
     assert path_ordered_product(low, crossings) == {}
 
 
