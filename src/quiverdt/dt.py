@@ -34,8 +34,7 @@ from .lattice import (
     dot,
     is_gamma_generic,
     is_positive_dimvec,
-    mask_sum,
-    nonempty_masks,
+    subset_sums,
 )
 
 
@@ -257,7 +256,7 @@ class FCache:
 
     @staticmethod
     def key_for(aux: AuxLattice) -> str:
-        sums = (mask_sum(aux.alpha, m) for m in nonempty_masks(aux.r))
+        sums = subset_sums(aux.alpha)[1:]
         signs = "".join("+" if s > 0 else ("-" if s < 0 else "0") for s in sums)
         eta_text = ";".join(",".join(str(x) for x in row) for row in aux.eta)
         return f"r={aux.r}|eta={eta_text}|signs={signs}"

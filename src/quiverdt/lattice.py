@@ -3,10 +3,16 @@
 The auxiliary rank-r lattice attached to a decomposition gamma_1..gamma_r
 is handled through bitmasks: the subset J of {1..r} is the integer whose
 bit i-1 is set iff i is in J, and e_J is the corresponding {0,1}-vector.
-All genericity conditions are exact sign tests on rationals.  The
-perturbation draws here are dyadic rationals; ``flow`` certifies a draw by
-evaluating the flow tree formula on it and moves to the next one on
-failure.
+All genericity conditions are exact sign tests on rationals.  A function
+of every mask is built by subset sums, one addition per mask
+(``subset_sums``); the pairings e_A^T M e_B of a matrix over every pair of
+masks form one such table per row (``_pair_table``).
+
+The perturbation draws here are dyadic rationals with denominator
+PERTURBATION_DENOM * 2^k, drawn as integer numerators so that the sign
+and shrink tests on all 4^r mask pairs are integer comparisons; ``flow``
+certifies a draw by evaluating the flow tree formula on it and moves to
+the next one on failure.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import InvalidInput, NotGenericAlpha, NotOnWall
 
 PERTURBATION_DENOM = 2 ** 16
+MAX_VERTICES = 100  # largest vertex count a quiver file may declare
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +175,16 @@ def pair_masks(matrix, ma: int, mb: int):
     return total
 
 
-def nonempty_masks(r: int):
-    return range(1, 1 << r)
+def subset_sums(values) -> list:
+    """sums[m] = mask_sum(values, m) for every mask m < 2^len(values).
+
+    The list doubles once per value, so each entry costs one addition:
+    sums[m] = sums[m without its highest bit] + values[that bit].
+    """
+    sums = [0]
+    for v in values:
+        sums += [s + v for s in sums]
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +246,9 @@ def alpha_is_generic(eta, alpha) -> bool:
     """
     r = len(alpha)
     full = (1 << r) - 1
-    for m in range(1, full):
-        if pair_masks(eta, full, m) != 0 and mask_sum(alpha, m) == 0:
-            return False
-    return True
+    pairings = subset_sums([sum(column) for column in zip(*eta)])  # eta(e_I, e_m) per mask m
+    sums = subset_sums(alpha)
+    return not any(pairings[m] != 0 and sums[m] == 0 for m in range(1, full))
 
 
 # ---------------------------------------------------------------------------
@@ -248,29 +262,45 @@ def _rng(seed: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _random_fraction(rng) -> Fraction:
-    return Fraction(int(rng.integers(-PERTURBATION_DENOM, PERTURBATION_DENOM + 1)), PERTURBATION_DENOM)
+def _random_numerator(rng) -> int:
+    """Numerator of a dyadic draw in [-1, 1] over PERTURBATION_DENOM."""
+    return int(rng.integers(-PERTURBATION_DENOM, PERTURBATION_DENOM + 1))
 
 
 def _random_skew(rng, r: int):
-    m = [[Fraction(0)] * r for _ in range(r)]
+    """Skew matrix of draw numerators, filled above the diagonal row by row."""
+    m = [[0] * r for _ in range(r)]
     for i in range(r):
         for j in range(i + 1, r):
-            x = _random_fraction(rng)
+            x = _random_numerator(rng)
             m[i][j] = x
             m[j][i] = -x
-    return tuple(tuple(row) for row in m)
+    return m
 
 
-def _min_shrink_exponent(base_pairs, perturb_pairs, start: int = 8) -> int:
-    """Smallest k >= start with |perturb| / 2^k < |base| on every listed pair."""
-    k = start
-    for base, pert in zip(base_pairs, perturb_pairs):
-        if base == 0:
-            continue
-        while abs(pert) >= abs(base) * (1 << k):
-            k += 1
-    return k
+def _pair_table(matrix, r: int) -> list:
+    """table[a << r | b] = e_a^T M e_b for every pair of masks a, b < 2^r.
+
+    The rows e_a^T M are the subset sums of the rows of M, and the table
+    is the subset sums of each of them in turn: one addition per entry.
+    """
+    rows = [[0] * r]
+    for mrow in matrix:
+        rows += [[x + y for x, y in zip(row, mrow)] for row in rows]
+    table = []
+    for row in rows:
+        table += subset_sums(row)
+    return table
+
+
+def _shrink_exponent(base, pert, start: int = 8) -> int:
+    """Smallest k >= start with |p| < |b| 2^k on every pair (b, p) with b != 0.
+
+    |p| < |b| 2^k holds exactly when floor(|p| / |b|) < 2^k, that is when
+    the floor has at most k bits.
+    """
+    worst = max((abs(p) // abs(b) for b, p in zip(base, pert) if b), default=0)
+    return max(start, worst.bit_length())
 
 
 @dataclass(frozen=True)
@@ -295,40 +325,39 @@ def omega_draws(aux: AuxLattice, seed: int, budget: int = 1000):
     not vanish there, U_J); otherwise 2^-k starts at the smallest value
     that keeps the signs of eta on every pair where eta is nonzero (U^eta),
     and the draw is yielded at eight successive halvings of it.  Membership
-    in U_{I,alpha} is left to the caller.
+    in U_{I,alpha} is left to the caller.  R is handled as integer
+    numerators over PERTURBATION_DENOM, and every pairing is read off one
+    ``_pair_table`` per matrix.
     """
     if not alpha_is_generic(aux.eta, aux.alpha):
         raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
     r = aux.r
     eta = aux.eta
+    size = 1 << r
+    eta_table = _pair_table(eta, r)
     sign_pairs = []
-    for ma in nonempty_masks(r):
-        for mb in nonempty_masks(r):
-            if mb <= ma:
-                continue
-            e = pair_masks(eta, ma, mb)
-            if e != 0:
-                sign_pairs.append((ma, mb, e))
-    zero_disjoint = [
-        (ma, mb)
-        for ma in nonempty_masks(r)
-        for mb in nonempty_masks(r)
-        if mb > ma and (ma & mb) == 0 and pair_masks(eta, ma, mb) == 0
-    ]
+    zero_disjoint = []
+    for ma in range(1, size):
+        for mb in range(ma + 1, size):
+            pair = ma << r | mb
+            if eta_table[pair] != 0:
+                sign_pairs.append(pair)
+            elif not ma & mb:
+                zero_disjoint.append(pair)
+    # |eta| over the draws' denominator, so that the numerators compare directly
+    sign_base = [abs(eta_table[pair]) * PERTURBATION_DENOM for pair in sign_pairs]
 
     for attempt in range(budget):
         rng = _rng(seed, "omega", attempt)
-        rmat = _random_skew(rng, r)
-        if any(pair_masks(rmat, ma, mb) == 0 for ma, mb in zero_disjoint):
+        numer = _random_skew(rng, r)
+        table = _pair_table(numer, r)
+        if any(table[pair] == 0 for pair in zero_disjoint):
             continue
-        k0 = _min_shrink_exponent(
-            [e for _, _, e in sign_pairs],
-            [pair_masks(rmat, ma, mb) for ma, mb, _ in sign_pairs],
-        )
+        k0 = _shrink_exponent(sign_base, [table[pair] for pair in sign_pairs])
         for k in range(k0, k0 + 8):
-            eps = Fraction(1, 1 << k)
+            denom = PERTURBATION_DENOM << k
             yield tuple(
-                tuple(eta[i][j] + eps * rmat[i][j] for j in range(r)) for i in range(r)
+                tuple(eta[i][j] + Fraction(numer[i][j], denom) for j in range(r)) for i in range(r)
             )
 
 
@@ -346,18 +375,16 @@ def beta_draws(aux: AuxLattice, seed: int, budget: int = 1000):
     r = aux.r
     yield tuple(aux.alpha)
 
-    alpha_values = [(m, mask_sum(aux.alpha, m)) for m in nonempty_masks(r)]
+    # alpha over the draws' denominator, so that the numerators compare directly
+    alpha_base = [a * PERTURBATION_DENOM for a in subset_sums(aux.alpha)]
     for attempt in range(budget):
         rng = _rng(seed, "beta", attempt)
-        delta = [_random_fraction(rng) for _ in range(r - 1)]
+        delta = [_random_numerator(rng) for _ in range(r - 1)]
         delta.append(-sum(delta))
-        k0 = _min_shrink_exponent(
-            [a for _, a in alpha_values],
-            [mask_sum(delta, m) for m, _ in alpha_values],
-        )
+        k0 = _shrink_exponent(alpha_base, subset_sums(delta))
         for k in range(k0, k0 + 8):
-            eps = Fraction(1, 1 << k)
-            yield tuple(a + eps * d for a, d in zip(aux.alpha, delta))
+            denom = PERTURBATION_DENOM << k
+            yield tuple(a + Fraction(d, denom) for a, d in zip(aux.alpha, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +399,10 @@ def _int_fields(fields, lineno: int) -> list:
 
 
 def parse_quiver(text: str) -> Quiver:
-    """Quiver file format: 'vertices <k>' then 'arrow <i> <j> <count>' lines."""
+    """Quiver file format: 'vertices <k>' then 'arrow <i> <j> <count>' lines.
+
+    k is at most MAX_VERTICES, checked before anything of size k is built.
+    """
     vertex_count = None
     arrows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -384,8 +414,8 @@ def parse_quiver(text: str) -> Quiver:
             if vertex_count is not None:
                 raise InvalidInput(f"line {lineno}: repeated 'vertices' statement")
             (vertex_count,) = _int_fields(parts[1:], lineno)
-            if vertex_count <= 0:
-                raise InvalidInput(f"line {lineno}: vertex count must be positive")
+            if not 1 <= vertex_count <= MAX_VERTICES:
+                raise InvalidInput(f"line {lineno}: vertex count must be between 1 and {MAX_VERTICES}")
         elif parts[0] == "arrow" and len(parts) == 4:
             if vertex_count is None:
                 raise InvalidInput(f"line {lineno}: 'arrow' before 'vertices'")

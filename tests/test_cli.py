@@ -239,6 +239,14 @@ def test_malformed_files_exit_2(capsys, kronecker1, tmp_path, kind, text):
     assert code == 2 and err.startswith("error: "), err
 
 
+def test_quiver_with_too_many_vertices_exits_2(capsys, tmp_path):
+    big = tmp_path / "big.quiver"
+    big.write_text("vertices 3000\n")
+    code = main(["dt", "--quiver", str(big), "--gamma", "1,1", "--theta", "1,-1"])
+    err = capsys.readouterr().err
+    assert code == 2 and "vertex count must be between 1 and" in err, err
+
+
 def test_oracle_rejects_attractor_of_wrong_length(capsys, tmp_path):
     bad = tmp_path / "bad.attractor"
     bad.write_text("default acyclic\ngamma = 1,2,3 ; omega_star = 1\n")

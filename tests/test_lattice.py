@@ -1,5 +1,6 @@
 """Quivers, the auxiliary lattice, genericity predicates and samplers."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,29 +9,44 @@ from pathlib import Path
 
 import pytest
 
+import quiverdt.flow as quiverdt_flow
 import quiverdt.lattice as quiverdt_lattice
 
-from quiverdt.errors import GenericityError, InvalidInput, NotGenericAlpha, NotOnWall
+from quiverdt.errors import (
+    GenericityError,
+    InvalidInput,
+    NotGenericAlpha,
+    NotOnWall,
+    SamplingTimeout,
+    ZeroSignArgument,
+)
 from quiverdt.flow import sample_beta, sample_omega
 from quiverdt.lattice import (
+    MAX_VERTICES,
     AuxLattice,
     Quiver,
     SkewForm,
+    _pair_table,
     _rng,
+    _shrink_exponent,
     alpha_is_generic,
+    beta_draws,
     build_aux,
     euler_skew,
     is_gamma_generic,
     mask_sum,
-    nonempty_masks,
+    omega_draws,
     pair_masks,
     parse_covector,
     parse_dimvec,
     parse_quiver,
+    subset_sums,
 )
 from quiverdt.trees import enumerate_trees, is_leaf, leaf_mask
 
+import lattice_reference
 from flow_reference import epsilon_signs, run_flow, supported_trees
+from lattice_reference import nonempty_masks
 
 
 def test_euler_skew_kronecker():
@@ -254,6 +270,13 @@ def test_parse_quiver_and_vectors():
         parse_dimvec("2,x")
 
 
+def test_parse_quiver_vertex_limit():
+    assert parse_quiver(f"vertices {MAX_VERTICES}\n").vertex_count == MAX_VERTICES
+    for count in (0, MAX_VERTICES + 1, 10 ** 12):
+        with pytest.raises(InvalidInput, match="vertex count"):
+            parse_quiver(f"vertices {count}\n")
+
+
 def test_skewform_validation():
     with pytest.raises(InvalidInput):
         SkewForm(((0, 1), (1, 0)))
@@ -269,3 +292,133 @@ def test_lattice_imports_neither_flow_nor_trees():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+# ---------------------------------------------------------------------------
+# the subset-sum tables against the pair-by-pair reference (tests/lattice_reference.py)
+
+
+def _unit_aux(eta, alpha):
+    r = len(alpha)
+    gammas = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    return AuxLattice(gammas=gammas, eta=eta, alpha=tuple(alpha))
+
+
+def _random_aux(rng, r: int, max_entry: int, zero_block: bool):
+    """Random skew eta, optionally zero between {1..s} and {s+1..r}, with a generic alpha."""
+    split = int(rng.integers(1, r)) if r > 1 else 1
+    eta = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            if zero_block and (i < split) != (j < split):
+                continue
+            x = int(rng.integers(-max_entry, max_entry + 1))
+            eta[i][j], eta[j][i] = x, -x
+    eta = tuple(tuple(row) for row in eta)
+    while True:
+        alpha = [Fraction(int(rng.integers(-9, 10))) for _ in range(r - 1)]
+        alpha.append(-sum(alpha))
+        if lattice_reference.alpha_is_generic(eta, alpha):
+            return _unit_aux(eta, alpha)
+
+
+def _first(draws, n: int = 16):
+    return list(itertools.islice(draws, n))
+
+
+# Block-diagonal eta whose draws for seed 1903 skip the first resample: its
+# R vanishes on a disjoint pair where eta does (found by a seed scan).
+SKIP_ETA = ((0, 1, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 0, 0, 1, -2), (0, 0, -1, 0, 1), (0, 0, 2, -1, 0))
+SKIP_ALPHA = (4, 1, 9, 5, -19)
+SKIP_SEED = 1903
+
+
+def test_subset_sums_and_pair_table_match_mask_sums():
+    rng = _rng(11, "subset-sums")
+    for r in range(0, 6):
+        vec = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(r)]
+        assert subset_sums(vec) == [mask_sum(vec, m) for m in range(1 << r)]
+        mat = [[int(rng.integers(-5, 6)) for _ in range(r)] for _ in range(r)]
+        table = _pair_table(mat, r)
+        assert table == [pair_masks(mat, a, b) for a in range(1 << r) for b in range(1 << r)]
+
+
+@pytest.mark.parametrize("r", range(1, 8))
+def test_draws_equal_reference(r):
+    rng = _rng(12, "draw-reference", r)
+    shapes = [(4, False), (4, True), (10 ** 6, False)]
+    for trial, (max_entry, zero_block) in enumerate(shapes):
+        aux = _random_aux(rng, r, max_entry, zero_block)
+        seed = 100 * r + trial
+        assert alpha_is_generic(aux.eta, aux.alpha)
+        assert _first(omega_draws(aux, seed)) == _first(lattice_reference.omega_draws(aux, seed))
+        assert _first(beta_draws(aux, seed), 17) == _first(lattice_reference.beta_draws(aux, seed), 17)
+
+
+def test_draws_equal_reference_when_the_zero_disjoint_skip_fires():
+    aux = _unit_aux(SKIP_ETA, SKIP_ALPHA)
+    reference = list(lattice_reference.omega_draws(aux, SKIP_SEED, budget=3))
+    assert len(reference) == 16  # one of the three resamples was skipped
+    assert list(omega_draws(aux, SKIP_SEED, budget=3)) == reference
+
+
+def test_draws_equal_reference_when_the_shrink_exponent_exceeds_8():
+    # With integer eta, k stays 8 for r <= 16: an R-pairing sums fewer than
+    # 2^8 entries of size at most 1, and a nonzero eta-pairing is at least 1.
+    # A tiny rational eta (or alpha, for the beta draws) is what pushes k past 8.
+    tiny = Fraction(1, 10 ** 6)
+    eta = ((0, tiny, -2 * tiny), (-tiny, 0, tiny), (2 * tiny, -tiny, 0))
+    aux = _unit_aux(eta, (tiny, 2 * tiny, -3 * tiny))
+    draws = _first(omega_draws(aux, 5))
+    assert draws == _first(lattice_reference.omega_draws(aux, 5))
+    starts = _first(beta_draws(aux, 5), 17)
+    assert starts == _first(lattice_reference.beta_draws(aux, 5), 17)
+
+    def is_large_power_of_two(scale):
+        return scale.denominator == 1 and scale.numerator.bit_count() == 1 and scale > 1 << 8
+
+    r_entry = lattice_reference._random_skew(_rng(5, "omega", 0), 3)[0][1]
+    assert is_large_power_of_two(r_entry / (draws[0][0][1] - eta[0][1]))  # 2^k of the first draw
+    delta_entry = lattice_reference._random_fraction(_rng(5, "beta", 0))
+    assert is_large_power_of_two(delta_entry / (starts[1][0] - aux.alpha[0]))
+
+
+def test_shrink_exponent_matches_reference():
+    rng = _rng(13, "shrink")
+    for _ in range(300):
+        n = int(rng.integers(1, 6))
+        base = [int(rng.integers(-3, 4)) * 10 ** int(rng.integers(0, 4)) for _ in range(n)]
+        pert = [int(rng.integers(-(1 << 40), 1 << 40)) >> int(rng.integers(0, 40)) for _ in range(n)]
+        expected = lattice_reference.min_shrink_exponent(base, pert)
+        assert _shrink_exponent(base, pert) == expected
+        thirds = [Fraction(b, 3) for b in base]
+        assert _shrink_exponent(thirds, pert) == lattice_reference.min_shrink_exponent(thirds, pert)
+    assert _shrink_exponent([1], [1 << 30]) == 31
+
+
+def test_alpha_is_generic_matches_reference():
+    rng = _rng(14, "generic")
+    for _ in range(200):
+        r = int(rng.integers(1, 6))
+        aux = _random_aux(rng, r, 2, bool(rng.integers(0, 2)))
+        alpha = [Fraction(int(rng.integers(-2, 3))) for _ in range(r - 1)]
+        alpha.append(-sum(alpha))
+        assert alpha_is_generic(aux.eta, alpha) == lattice_reference.alpha_is_generic(aux.eta, alpha)
+
+
+@pytest.mark.parametrize("mode", ["omega", "beta"])
+def test_sampling_timeout_after_the_reference_budget(monkeypatch, mode):
+    aux = _unit_aux(SKIP_ETA, SKIP_ALPHA)
+    draws = lattice_reference.omega_draws if mode == "omega" else lattice_reference.beta_draws
+    expected = len(list(draws(aux, SKIP_SEED, budget=3)))
+    calls = []
+
+    def rejecting(*args):
+        calls.append(args)
+        raise ZeroSignArgument("rejected")
+
+    monkeypatch.setattr(quiverdt_flow, "flow_tree_map", rejecting)
+    sampler = sample_omega if mode == "omega" else sample_beta
+    with pytest.raises(SamplingTimeout):
+        sampler(aux, SKIP_SEED, budget=3)
+    assert len(calls) == expected
