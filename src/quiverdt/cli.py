@@ -26,6 +26,18 @@ from .lattice import Quiver, build_aux, parse_covector, parse_dimvec, parse_quiv
 from .scattering import reconstruct_rank2
 from .trees import enumerate_trees, render_tree, tree_count
 
+MAX_R = 10  # largest r of `trees` and `check perturbation|joints`: their work grows at least as 4^r
+
+
+def _check_r(r: int) -> None:
+    if not 1 <= r <= MAX_R:
+        raise InvalidInput(f"r must be between 1 and {MAX_R}, got {r}")
+
+
+def _check_count(flag: str, value: int) -> None:
+    if value < 1:
+        raise InvalidInput(f"{flag} must be at least 1, got {value}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -86,8 +98,7 @@ def _load_attractor(path, vertex_count: int) -> AttractorTable:
 
 
 def _cmd_trees(args, out) -> int:
-    if not 1 <= args.r <= 10:
-        raise InvalidInput(f"r must be between 1 and 10, got {args.r}")
+    _check_r(args.r)
     machine = args.format == "machine"
     count = tree_count(args.r)
     out.write(f"count={count}\n" if machine else f"count {count}\n")
@@ -149,6 +160,9 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
+    _check_count("--trials", args.trials)
+    if args.kind in ("perturbation", "joints"):
+        _check_r(args.r)
     if args.kind == "perturbation":
         result = checks.check_perturbation(args.r, args.trials, seed=args.seed)
     elif args.kind == "joints":
@@ -176,6 +190,7 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     out = sys.stdout
     try:
+        _check_count("--budget", args.budget)
         if args.command == "trees":
             return _cmd_trees(args, out)
         if args.command == "F":

@@ -124,6 +124,8 @@ class AttractorTable:
             gamma = parse_dimvec(left[1].strip())
             if not is_positive_dimvec(gamma):
                 raise InvalidInput(f"line {lineno}: {gamma} is not a positive class")
+            if gamma in entries:
+                raise InvalidInput(f"line {lineno}: class {gamma} is listed twice")
             try:
                 entries[gamma] = RatFunc(parse_bilaurent(right[1].strip()))
             except (ValueError, ZeroDivisionError) as exc:
@@ -137,22 +139,12 @@ def rational_from_integer(table: dict) -> dict:
     The output keeps explicit zeros on the whole closure, so it is always
     a valid (divisor-closed) input for integer_from_rational.
     """
-    table = {tuple(g): v for g, v in table.items()}
-    closure = set()
-    for gamma in table:
-        for _, base in _divisors_of_vector(gamma):
-            closure.add(base)
-    closure.update(table)
-    out = {}
-    for gamma in sorted(closure, key=lambda g: (sum(g), g)):
-        total = RatFunc.zero()
-        for k, base in _divisors_of_vector(gamma):
-            omega = table.get(base)
-            if omega is None or omega.is_zero():
-                continue
-            total = total + _multicover_factor(k) * RatFunc(omega.substitute_power(k))
-        out[gamma] = total
-    return out
+    attractor = AttractorTable(table)
+    closure = {base for gamma in attractor.entries for _, base in _divisors_of_vector(gamma)}
+    return {
+        gamma: attractor.rational_value(gamma)
+        for gamma in sorted(closure, key=lambda g: (sum(g), g))
+    }
 
 
 def integer_from_rational(table: dict) -> dict:

@@ -12,6 +12,15 @@ with eta(e_L, e_R) = 0 are dropped before any sign is read: their bracket
 vanishes, and the unperturbed form eta may be degenerate on exactly those
 splits.
 
+Every quantity a split reads is a subset sum over the bits of J.  For a
+skew M, M(e_L, e_L) = 0, so M(e_L, e_{J minus L}) = M(e_L, e_J), and the
+pairings eta(e_L, e_R) and omega(e_L, e_R) are the sums over L of the
+row sums M(e_i, e_J); theta(e_L) is the sum over L of theta.  Each
+non-leaf call builds these tables once, with subset_sums, over the
+splits L = {l} + S for S a proper subset of the rest of J, and updates
+theta only on the bits of J (its children read nothing else).  The
+bracket is passed the eta-pairing the evaluator has already read.
+
 Evaluation doubles as the certificate of a sampled perturbation: every
 sign argument the sum depends on is read, and a zero one raises
 ZeroSignArgument.  The samplers therefore evaluate the draws of
@@ -24,48 +33,18 @@ from fractions import Fraction
 
 from .algebra import LaurentPoly, kappa
 from .errors import InvalidInput, SamplingTimeout, ZeroSignArgument
-from .lattice import AuxLattice, OmegaForm, beta_draws, mask_indices, mask_sum, omega_draws
-
-
-def _entries(form):
-    return form.entries if isinstance(form, OmegaForm) else form
-
-
-class _MaskForm:
-    """Skew matrix with cached contractions against {0,1}-vectors."""
-
-    __slots__ = ("matrix", "r", "_rows")
-
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.r = len(matrix)
-        self._rows = {}
-
-    def row(self, mask: int):
-        row = self._rows.get(mask)
-        if row is None:
-            acc = [0] * self.r
-            for i in mask_indices(mask):
-                mrow = self.matrix[i]
-                for j in range(self.r):
-                    acc[j] += mrow[j]
-            row = tuple(acc)
-            self._rows[mask] = row
-        return row
-
-    def pair(self, ma: int, mb: int):
-        row = self.row(ma)
-        return sum(row[j] for j in mask_indices(mb))
+from .lattice import AuxLattice, OmegaForm, beta_draws, check_skew, omega_draws, subset_sums
 
 
 class BracketContext:
     """Graded bilinear antisymmetric bracket with one input value per leaf.
 
-    ``bracket(x, y, mask_x, mask_y)`` must be bilinear, antisymmetric under
-    swapping (x, mask_x) with (y, mask_y), additive in the grading, and
-    must vanish whenever the eta-pairing of the two grades vanishes (the
-    compatibility the graded Lie algebras here always satisfy).  Values
-    need ``+`` and unary ``-``.
+    ``bracket(x, y, mask_x, mask_y, pairing)`` is passed the eta-pairing
+    eta(e_{mask_x}, e_{mask_y}) of the two grades, which the evaluator has
+    already read.  It must be bilinear, antisymmetric under swapping
+    (x, mask_x) with (y, mask_y), additive in the grading, and must vanish
+    whenever the pairing vanishes (the compatibility the graded Lie
+    algebras here always satisfy).  Values need ``+`` and unary ``-``.
     """
 
     def __init__(self, bracket, leaf_values: dict, zero):
@@ -74,47 +53,49 @@ class BracketContext:
         self.zero = zero
 
 
-def scalar_context(eta, r: int) -> BracketContext:
+def scalar_context(r: int) -> BracketContext:
     """The bracket [a, b] = kappa(eta(e_A, e_B)) a b on Laurent polynomials."""
-    mf_eta = _MaskForm(tuple(tuple(row) for row in eta))
-
-    def bracket(x, y, mx, my):
-        return kappa(mf_eta.pair(mx, my)) * x * y
-
     return BracketContext(
-        bracket=bracket,
+        bracket=lambda x, y, mx, my, pairing: kappa(pairing) * x * y,
         leaf_values={i: LaurentPoly.const(1) for i in range(1, r + 1)},
         zero=LaurentPoly.zero(),
     )
 
 
-def _evaluate(mask: int, theta, eta: _MaskForm, form: _MaskForm, ctx: BracketContext):
-    """F(mask, theta): the flow tree sum over the trees on the indices of mask."""
+def _evaluate(mask: int, theta, eta, form, ctx: BracketContext):
+    """F(mask, theta): the flow tree sum over the trees on the indices of mask.
+
+    Entry s of each table below belongs to the split L = {low} + (the
+    subset s of the other bits); for the skew forms, M(e_L, e_R) = M(e_L, e_J).
+    """
     if mask & (mask - 1) == 0:
         return ctx.leaf_values[mask.bit_length()]
-    low = mask & -mask
-    rest = mask ^ low
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    eta_rows = [sum(eta[i][j] for j in bits) for i in bits]  # eta(e_i, e_J)
+    form_rows = [sum(form[i][j] for j in bits) for i in bits]  # omega(e_i, e_J)
+    lefts = subset_sums([1 << i for i in bits[1:]], 1 << bits[0])
+    thetas = subset_sums([theta[i] for i in bits[1:]], theta[bits[0]])
+    etas = subset_sums(eta_rows[1:], eta_rows[0])
+    forms = subset_sums(form_rows[1:], form_rows[0])
     total = ctx.zero
-    sub = rest
-    while sub:
-        sub = (sub - 1) & rest  # every proper subset of rest, ending with the empty one
-        left = low | sub
-        right = rest ^ sub
-        if eta.pair(left, right) == 0:
+    for left, pairing, a, b in zip(lefts[:-1], etas, thetas, forms):  # all but L = J
+        if pairing == 0:
             continue
-        a = mask_sum(theta, left)
-        b = form.pair(left, right)
+        right = mask ^ left
         if a == 0 or b == 0:
             raise ZeroSignArgument(f"vanishing sign argument at split {left:b}|{right:b}")
         if (a > 0) != (b > 0):
             continue  # eps = 0
+        # theta + (a / b) iota_{e_J} omega on the bits of J; omega(e_J, e_i) = -omega(e_i, e_J)
         coef = Fraction(a) / b
-        step = tuple(t + coef * v for t, v in zip(theta, form.row(mask)))
+        step = list(theta)
+        for i, v in zip(bits, form_rows):
+            step[i] -= coef * v
         # Both sides are evaluated even when one is zero, so that every sign
         # argument the sum depends on is checked.
         value_left = _evaluate(left, step, eta, form, ctx)
         value_right = _evaluate(right, step, eta, form, ctx)
-        value = ctx.bracket(value_left, value_right, left, right)
+        value = ctx.bracket(value_left, value_right, left, right, pairing)
         total = total + (-value if a > 0 else value)
     return total
 
@@ -122,14 +103,18 @@ def _evaluate(mask: int, theta, eta: _MaskForm, form: _MaskForm, ctx: BracketCon
 def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
     """Flow tree map of the index subset ``indices``, started at alpha0.
 
-    The value is graded at e_J for J = indices.  Raises ZeroSignArgument
-    when a sign argument the sum depends on vanishes.
+    ``eta`` and ``form`` are skew matrices; the sum reads every pairing
+    as M(e_L, e_J), which equals M(e_L, e_R) only for a skew M, so either
+    one failing to be skew raises InvalidInput.  The value is graded at
+    e_J for J = indices.  Raises ZeroSignArgument when a sign argument
+    the sum depends on vanishes.
     """
+    check_skew(eta, "eta")
+    check_skew(form, "form")
     mask = 0
     for i in indices:
         mask |= 1 << (i - 1)
-    eta_form = _MaskForm(tuple(tuple(row) for row in eta))
-    return _evaluate(mask, tuple(alpha0), eta_form, _MaskForm(_entries(form)), ctx)
+    return _evaluate(mask, tuple(alpha0), eta, form, ctx)
 
 
 def flow_tree_map(aux: AuxLattice, ctx: BracketContext, alpha0, form):
@@ -150,7 +135,7 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
         candidates = ((beta, beta, aux.eta) for beta in beta_draws(aux, seed, budget))
     else:
         raise InvalidInput(f"unknown perturbation mode {mode!r}")
-    ctx = scalar_context(aux.eta, aux.r)
+    ctx = scalar_context(aux.r)
     for draw, start, form in candidates:
         try:
             return draw, flow_tree_map(aux, ctx, start, form)

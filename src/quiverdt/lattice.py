@@ -3,10 +3,13 @@
 The auxiliary rank-r lattice attached to a decomposition gamma_1..gamma_r
 is handled through bitmasks: the subset J of {1..r} is the integer whose
 bit i-1 is set iff i is in J, and e_J is the corresponding {0,1}-vector.
-All genericity conditions are exact sign tests on rationals.  A function
-of every mask is built by subset sums, one addition per mask
-(``subset_sums``); the pairings e_A^T M e_B of a matrix over every pair of
-masks form one such table per row (``_pair_table``).
+All genericity conditions are exact sign tests on rationals.  Every
+pairing of {0,1}-vectors in the package is read off subset sums, one
+addition per mask (``subset_sums``).  For a skew M, M(e_L, e_L) = 0, so
+M(e_L, e_{J minus L}) = M(e_L, e_J): the pairings of the splits of J are
+the subset sums of the row sums M(e_i, e_J), which is how ``flow`` and
+the joint check read them.  The draws need pairings of overlapping masks
+too; those form one subset-sum table per row (``_pair_table``).
 
 The perturbation draws here are dyadic rationals with denominator
 PERTURBATION_DENOM * 2^k, drawn as integer numerators so that the sign
@@ -64,6 +67,15 @@ class Quiver:
         return Quiver(((0, m), (0, 0)))
 
 
+def check_skew(matrix, name: str) -> None:
+    """Raise InvalidInput unless the matrix is square and skew-symmetric."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix) or any(
+        matrix[i][j] != -matrix[j][i] for i in range(n) for j in range(i, n)
+    ):
+        raise InvalidInput(f"{name} is not skew-symmetric")
+
+
 @dataclass(frozen=True)
 class SkewForm:
     """Integer skew-symmetric bilinear form on Z^n."""
@@ -71,11 +83,7 @@ class SkewForm:
     matrix: tuple
 
     def __post_init__(self):
-        n = len(self.matrix)
-        for i in range(n):
-            for j in range(n):
-                if self.matrix[i][j] != -self.matrix[j][i]:
-                    raise InvalidInput("matrix is not skew-symmetric")
+        check_skew(self.matrix, "matrix")
 
     def pair(self, g1, g2) -> int:
         return sum(
@@ -142,46 +150,16 @@ def is_gamma_generic(theta, gamma) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bitmask helpers for the auxiliary lattice
+# subset sums over the auxiliary lattice
 
 
-def mask_sum(vec, mask: int):
-    total = 0
-    i = 0
-    while mask:
-        if mask & 1:
-            total += vec[i]
-        mask >>= 1
-        i += 1
-    return total
-
-
-def mask_indices(mask: int):
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
-
-
-def pair_masks(matrix, ma: int, mb: int):
-    """Bilinear pairing of the {0,1}-vectors with supports ma and mb."""
-    total = 0
-    for i in mask_indices(ma):
-        row = matrix[i]
-        for j in mask_indices(mb):
-            total += row[j]
-    return total
-
-
-def subset_sums(values) -> list:
-    """sums[m] = mask_sum(values, m) for every mask m < 2^len(values).
+def subset_sums(values, start=0) -> list:
+    """sums[m] = start + the sum of values[i] over the bits i of m, for every m < 2^len(values).
 
     The list doubles once per value, so each entry costs one addition:
     sums[m] = sums[m without its highest bit] + values[that bit].
     """
-    sums = [0]
+    sums = [start]
     for v in values:
         sums += [s + v for s in sums]
     return sums
@@ -207,10 +185,7 @@ class AuxLattice:
         r = len(self.gammas)
         if len(self.eta) != r or len(self.alpha) != r:
             raise InvalidInput("inconsistent auxiliary lattice data")
-        for i in range(r):
-            for j in range(r):
-                if self.eta[i][j] != -self.eta[j][i]:
-                    raise InvalidInput("eta is not skew-symmetric")
+        check_skew(self.eta, "eta")
         if sum(self.alpha) != 0:
             raise NotOnWall("alpha does not annihilate e_I")
 
@@ -310,11 +285,7 @@ class OmegaForm:
     entries: tuple
 
     def __post_init__(self):
-        r = len(self.entries)
-        for i in range(r):
-            for j in range(r):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    raise InvalidInput("omega is not skew-symmetric")
+        check_skew(self.entries, "omega")
 
 
 def omega_draws(aux: AuxLattice, seed: int, budget: int = 1000):

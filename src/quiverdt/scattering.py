@@ -32,9 +32,7 @@ from .lattice import (
     SkewForm,
     dot,
     is_positive_dimvec,
-    mask_indices,
-    mask_sum,
-    pair_masks,
+    subset_sums,
 )
 
 
@@ -453,9 +451,8 @@ _TAIL_OFFSETS = (1, 2, Fraction(1, 2), 3, Fraction(5, 2), 5, Fraction(7, 3))
 def _has_triple_split(point, r: int) -> bool:
     """Is there a partition of {1..r} into >= 3 parts, all annihilated by point?"""
     full = (1 << r) - 1
-    null_masks = [
-        m for m in range(1, full) if mask_sum(point, m) == 0
-    ]
+    sums = subset_sums(point)
+    null_masks = [m for m in range(1, full) if sums[m] == 0]
 
     def cover(remaining: int, parts: int) -> bool:
         if remaining == 0:
@@ -492,18 +489,20 @@ def check_joint_consistency(
     omega = sample_omega(aux, seed, budget).entries
     alpha = aux.alpha
     full = (1 << r) - 1
+    # M(e_m, e_I) per mask m; for a skew M it equals M(e_m, e_{I minus m})
+    eta_sums = subset_sums([sum(row) for row in eta])
+    omega_rows = [sum(row) for row in omega]
+    omega_sums = subset_sums(omega_rows)
+    alpha_sums = subset_sums(alpha)
 
     located = []
-    for m1 in range(1, full):
-        if not (m1 & 1):
-            continue  # each unordered split once, via the part containing index 1
+    for m1 in range(1, full, 2):  # each unordered split once, via the part containing index 1
         m2 = full ^ m1
-        eta_p = pair_masks(eta, m1, m2)
+        eta_p = eta_sums[m1]
         if eta_p == 0:
             continue
-        omega_p = pair_masks(omega, m1, m2)
-        a = mask_sum(alpha, m1)
-        t = Fraction(a, 1) / omega_p
+        omega_p = omega_sums[m1]
+        t = Fraction(alpha_sums[m1], 1) / omega_p
         if t > 0:
             located.append((t, m1, m2, omega_p, eta_p))
     located.sort(key=lambda rec: rec[0])
@@ -513,14 +512,12 @@ def check_joint_consistency(
                 "tied joints on the flow half-line", joint=located[i][0]
             )
 
-    iota = tuple(
-        sum(omega[i][j] for i in mask_indices(full)) for j in range(r)
-    )
+    iota = tuple(-v for v in omega_rows)  # omega(e_I, e_j) = -omega(e_j, e_I)
 
     def point_at(t: Fraction):
         return tuple(a + t * v for a, v in zip(alpha, iota))
 
-    ctx = scalar_context(eta, r)
+    ctx = scalar_context(r)
 
     def wall_value(point) -> LaurentPoly:
         return flow_tree_sum(range(1, r + 1), eta, ctx, point, omega)
@@ -558,8 +555,8 @@ def check_joint_consistency(
         x = point_at(t)
         if _has_triple_split(x, r):
             raise ConsistencyFailure("triple split at a joint", joint=t)
-        left_sum = flow_tree_sum([j + 1 for j in mask_indices(m1)], eta, ctx, x, omega)
-        right_sum = flow_tree_sum([j + 1 for j in mask_indices(m2)], eta, ctx, x, omega)
+        left_sum = flow_tree_sum([j + 1 for j in range(r) if m1 >> j & 1], eta, ctx, x, omega)
+        right_sum = flow_tree_sum([j + 1 for j in range(r) if m2 >> j & 1], eta, ctx, x, omega)
         predicted = kappa(eta_p) * left_sum * right_sum
         if omega_p > 0:
             predicted = -predicted

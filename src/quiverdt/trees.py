@@ -65,11 +65,6 @@ def tree_count(r: int) -> int:
     return count
 
 
-def charge(node) -> int:
-    """Charge of a vertex: the {0,1}-vector of its descendant leaves, as a mask."""
-    return leaf_mask(node)
-
-
 def interior_vertices(tree):
     """Interior vertices (pair encodings) in root-to-leaves preorder."""
     stack = [tree]

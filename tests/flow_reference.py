@@ -9,8 +9,9 @@ summed over the eta-supported trees that ``enumerate_trees`` yields.
 from fractions import Fraction
 
 from quiverdt.errors import DivisionByZeroPairing, ZeroSignArgument
-from quiverdt.lattice import mask_indices, mask_sum, pair_masks
 from quiverdt.trees import enumerate_trees, interior_vertices, is_leaf, leaf_mask
+
+from lattice_reference import mask_indices, mask_sum, pair_masks
 
 ROOT = None
 
@@ -91,7 +92,7 @@ def supported_trees(eta, r: int):
     ]
 
 
-def tree_weight(tree, start, form, ctx):
+def tree_weight(tree, eta, start, form, ctx):
     """Bracket value of one tree times its epsilon product; None when an epsilon is 0.
 
     Signs are read top-down and the walk stops at the first zero epsilon,
@@ -114,7 +115,8 @@ def tree_weight(tree, start, form, ctx):
         value_right = evaluate(right, theta)
         if value_right is None:
             return None
-        value = ctx.bracket(value_left, value_right, leaf_mask(left), leaf_mask(right))
+        ml, mr = leaf_mask(left), leaf_mask(right)
+        value = ctx.bracket(value_left, value_right, ml, mr, pair_masks(eta, ml, mr))
         return -value if eps < 0 else value
 
     return evaluate(tree, tuple(start))
@@ -124,7 +126,7 @@ def tree_sum(r: int, eta, start, form, ctx):
     """Sum of tree_weight over the eta-supported trees on 1..r."""
     total = ctx.zero
     for tree in supported_trees(eta, r):
-        weight = tree_weight(tree, start, form, ctx)
+        weight = tree_weight(tree, eta, start, form, ctx)
         if weight is not None:
             total = total + weight
     return total

@@ -1,8 +1,8 @@
 """Pair-by-pair reference for the perturbation draws of ``quiverdt.lattice``.
 
-``quiverdt.lattice`` reads every pairing e_A^T M e_B off one subset-sum
-table per matrix.  This module keeps the definition it is checked against:
-each pairing computed on its own with ``pair_masks`` / ``mask_sum`` over
+``quiverdt.lattice`` reads every pairing e_A^T M e_B off subset-sum
+tables.  This module keeps the definition it is checked against: each
+pairing computed on its own with ``pair_masks`` / ``mask_sum`` over
 Fractions, and the shrink exponent found by doubling until every listed
 pair keeps its sign.
 """
@@ -10,7 +10,27 @@ pair keeps its sign.
 from fractions import Fraction
 
 from quiverdt.errors import NotGenericAlpha
-from quiverdt.lattice import PERTURBATION_DENOM, _rng, mask_sum, pair_masks
+from quiverdt.lattice import PERTURBATION_DENOM, _rng
+
+
+def mask_indices(mask: int):
+    """The indices i with bit i of mask set, in increasing order."""
+    i = 0
+    while mask:
+        if mask & 1:
+            yield i
+        mask >>= 1
+        i += 1
+
+
+def mask_sum(vec, mask: int):
+    """The sum of vec over the indices of mask: vec(e_mask)."""
+    return sum(vec[i] for i in mask_indices(mask))
+
+
+def pair_masks(matrix, ma: int, mb: int):
+    """Bilinear pairing of the {0,1}-vectors with supports ma and mb."""
+    return sum(matrix[i][j] for i in mask_indices(ma) for j in mask_indices(mb))
 
 
 def nonempty_masks(r: int):

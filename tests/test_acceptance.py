@@ -70,9 +70,9 @@ def test_criterion_2_flow_well_definedness():
         fa = {leaf_mask(k): v for k, v in run_flow(tree, aux.alpha, omega).items() if k}
         fb = {leaf_mask(k): v for k, v in run_flow(flipped, aux.alpha, omega).items() if k}
         assert fa == fb
-        ctx = scalar_context(aux.eta, r)
-        wa = tree_weight(tree, aux.alpha, omega, ctx)
-        wb = tree_weight(flipped, aux.alpha, omega, ctx)
+        ctx = scalar_context(r)
+        wa = tree_weight(tree, aux.eta, aux.alpha, omega, ctx)
+        wb = tree_weight(flipped, aux.eta, aux.alpha, omega, ctx)
         assert (wa is None and wb is None) or wa == wb
         checked += 1
     _report(2, "flow well-definedness", started, 10)

@@ -155,6 +155,35 @@ def test_check_commands(capsys):
     assert code == 0 and out == "result=pass\n"
 
 
+@pytest.mark.parametrize("kind", ["perturbation", "joints"])
+@pytest.mark.parametrize("r", ["0", "11"])
+def test_check_r_out_of_range_exits_2(capsys, monkeypatch, kind, r):
+    from quiverdt import checks
+
+    # the bound is checked before any instance is built
+    monkeypatch.setattr(checks, "random_instance", None)
+    code = main(["check", kind, "--r", r, "--trials", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and err == f"error: r must be between 1 and 10, got {r}\n", err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "multicover", "--trials", "-1"],
+        ["check", "multicover", "--trials", "0"],
+        ["check", "perturbation", "--r", "2", "--trials", "0"],
+        ["--budget", "-5", "F", "--quiver", "{q}", "--gammas", "1,0", "0,1", "--theta", "1,-1"],
+        ["--budget", "0", "dt", "--quiver", "{q}", "--gamma", "1,1", "--theta", "1,-1"],
+    ],
+)
+def test_counts_below_one_exit_2(capsys, kronecker1, argv):
+    code = main([a.format(q=kronecker1) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert captured.err.startswith("error: ") and "must be at least 1" in captured.err, captured.err
+
+
 def test_check_oracle_small(capsys):
     code, out = _run(capsys, ["check", "oracle", "--m", "1", "--max-dim", "3"])
     assert code == 0 and out.endswith("PASS\n")
@@ -225,6 +254,7 @@ def test_jobs_flag_same_bytes(capsys, kronecker2):
         ("attractor", "gamma = 0,0 ; omega_star = 1\n"),
         ("attractor", "gamma = -1,2 ; omega_star = 1\n"),
         ("attractor", "gamma = 1,2,3 ; omega_star = 1\n"),
+        ("attractor", "gamma = 1,1 ; omega_star = 1\ngamma = 1,1 ; omega_star = 5\n"),
     ],
 )
 def test_malformed_files_exit_2(capsys, kronecker1, tmp_path, kind, text):

@@ -16,7 +16,7 @@ from quiverdt.dt import (
     qbracket,
     rational_from_integer,
 )
-from quiverdt.errors import NotGenericTheta, NotOnWall, NotPolynomial
+from quiverdt.errors import InvalidInput, NotGenericTheta, NotOnWall, NotPolynomial
 from quiverdt.lattice import Quiver, build_aux
 
 
@@ -129,6 +129,11 @@ def test_attractor_table_parse():
     assert table.acyclic_default
     assert table.omega_star((1, 1)) == RatFunc(-kappa(2))
     assert table.omega_star((1, 0)) == RatFunc.one()
+
+
+def test_attractor_table_parse_rejects_a_repeated_class():
+    with pytest.raises(InvalidInput, match="line 3: class \\(1, 1\\) is listed twice"):
+        AttractorTable.parse("gamma = 1,1 ; omega_star = 1\n\ngamma = 1,1 ; omega_star = 5\n")
 
 
 def test_assemble_a2_chambers():

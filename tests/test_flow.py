@@ -21,10 +21,11 @@ from quiverdt.flow import (
     sample_omega,
     scalar_context,
 )
-from quiverdt.lattice import AuxLattice, Quiver, build_aux, mask_sum
+from quiverdt.lattice import AuxLattice, Quiver, build_aux
 from quiverdt.trees import is_leaf, leaf_mask
 
 from flow_reference import epsilon_signs, run_flow, supported_trees, tree_sum, tree_weight
+from lattice_reference import mask_sum
 
 
 def _fr(*values):
@@ -107,9 +108,9 @@ def test_child_relabeling_invariance():
         by_mask_a = {leaf_mask(k): v for k, v in fa.items() if k is not None}
         by_mask_b = {leaf_mask(k): v for k, v in fb.items() if k is not None}
         assert by_mask_a == by_mask_b
-        ctx = scalar_context(aux.eta, r)
-        wa = tree_weight(tree, aux.alpha, omega, ctx)
-        wb = tree_weight(flipped, aux.alpha, omega, ctx)
+        ctx = scalar_context(r)
+        wa = tree_weight(tree, aux.eta, aux.alpha, omega, ctx)
+        wb = tree_weight(flipped, aux.eta, aux.alpha, omega, ctx)
         assert (wa is None and wb is None) or wa == wb
 
 
@@ -173,16 +174,16 @@ def test_scalar_invalid_mode():
 
 def test_flow_tree_map_scalar_reduction():
     aux = K2_AUX
-    omega = sample_omega(aux, 0)
-    ctx = scalar_context(aux.eta, aux.r)
+    omega = sample_omega(aux, 0).entries
+    ctx = scalar_context(aux.r)
     assert flow_tree_map(aux, ctx, aux.alpha, omega) == flow_tree_scalar(aux, seed=0)
 
 
 def test_flow_tree_map_abelian_vanishes():
     aux = K2_AUX
-    omega = sample_omega(aux, 0)
+    omega = sample_omega(aux, 0).entries
     ctx = BracketContext(
-        bracket=lambda x, y, mx, my: LaurentPoly.zero(),
+        bracket=lambda x, y, mx, my, pairing: LaurentPoly.zero(),
         leaf_values={i: LaurentPoly.const(1) for i in range(1, 4)},
         zero=LaurentPoly.zero(),
     )
@@ -191,11 +192,25 @@ def test_flow_tree_map_abelian_vanishes():
 
 def test_flow_tree_sum_subset():
     aux = K2_AUX
-    omega = sample_omega(aux, 0)
-    ctx = scalar_context(aux.eta, aux.r)
+    omega = sample_omega(aux, 0).entries
+    ctx = scalar_context(aux.r)
     # the pair {1, 3} has eta-pairing 2; its two-leaf sum is a rank-2 coefficient
     value = flow_tree_sum([1, 3], aux.eta, ctx, aux.alpha, omega)
     assert value in (LaurentPoly.zero(), -kappa(2))
+
+
+@pytest.mark.parametrize("which", ["eta", "form"])
+def test_flow_tree_sum_rejects_a_non_skew_matrix(which):
+    # the evaluator reads M(e_L, e_R) as M(e_L, e_J), which needs M skew
+    aux = K2_AUX
+    omega = sample_omega(aux, 0).entries
+    bent = [list(row) for row in omega]
+    bent[0][1] += 1
+    eta, form = (bent, omega) if which == "eta" else (aux.eta, bent)
+    with pytest.raises(InvalidInput, match=f"{which} is not skew-symmetric"):
+        flow_tree_sum(range(1, 4), eta, scalar_context(3), aux.alpha, form)
+    with pytest.raises(InvalidInput):
+        flow_tree_sum(range(1, 4), aux.eta, scalar_context(3), aux.alpha, omega[:2])
 
 
 def _perturbation(aux, mode, seed):
@@ -212,7 +227,7 @@ def test_split_evaluator_equals_tree_sum(r, mode):
     for trial in range(4 if r < 6 else 2):
         aux = random_instance(r, 700 + 10 * r + trial)
         start, form = _perturbation(aux, mode, trial)
-        expected = tree_sum(r, aux.eta, start, form, scalar_context(aux.eta, r))
+        expected = tree_sum(r, aux.eta, start, form, scalar_context(r))
         assert flow_tree_scalar(aux, mode=mode, seed=trial) == expected
 
 
@@ -237,9 +252,9 @@ class _Words(dict):
         return _Words({word: -coeff for word, coeff in self.items()})
 
 
-def _words_context(eta, r):
-    def bracket(x, y, mx, my):
-        k = kappa(sum(eta[i][j] for i in range(r) for j in range(r) if mx >> i & 1 and my >> j & 1))
+def _words_context(r):
+    def bracket(x, y, mx, my, pairing):
+        k = kappa(pairing)
         out = _Words()
         for wx, cx in x.items():
             for wy, cy in y.items():
@@ -262,7 +277,7 @@ def test_split_evaluator_equals_tree_sum_free_bracket(mode):
         for trial in range(3):
             aux = random_instance(r, 800 + 10 * r + trial)
             start, form = _perturbation(aux, mode, trial)
-            ctx = _words_context(aux.eta, r)
+            ctx = _words_context(r)
             value = flow_tree_map(aux, ctx, start, form)
             assert value == tree_sum(r, aux.eta, start, form, ctx)
             nonzero += bool(value)
@@ -276,7 +291,7 @@ def test_zero_sibling_value_still_checks_signs():
     # signs; the evaluator must still read the right side and refuse.
     eta = ((0, 1, 1, 2), (-1, 0, 1, 0), (-1, -1, 0, 2), (-2, 0, -2, 0))
     start = _fr(2, 2, 2, -6)
-    ctx = scalar_context(eta, 4)
+    ctx = scalar_context(4)
     ctx.leaf_values[1] = LaurentPoly.zero()
     eta_frac = tuple(tuple(Fraction(x) for x in row) for row in eta)
     with pytest.raises(ZeroSignArgument):

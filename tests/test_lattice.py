@@ -34,9 +34,7 @@ from quiverdt.lattice import (
     build_aux,
     euler_skew,
     is_gamma_generic,
-    mask_sum,
     omega_draws,
-    pair_masks,
     parse_covector,
     parse_dimvec,
     parse_quiver,
@@ -46,7 +44,7 @@ from quiverdt.trees import enumerate_trees, is_leaf, leaf_mask
 
 import lattice_reference
 from flow_reference import epsilon_signs, run_flow, supported_trees
-from lattice_reference import nonempty_masks
+from lattice_reference import mask_sum, nonempty_masks, pair_masks
 
 
 def test_euler_skew_kronecker():
@@ -338,6 +336,7 @@ def test_subset_sums_and_pair_table_match_mask_sums():
     for r in range(0, 6):
         vec = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(r)]
         assert subset_sums(vec) == [mask_sum(vec, m) for m in range(1 << r)]
+        assert subset_sums(vec, 7) == [7 + mask_sum(vec, m) for m in range(1 << r)]
         mat = [[int(rng.integers(-5, 6)) for _ in range(r)] for _ in range(r)]
         table = _pair_table(mat, r)
         assert table == [pair_masks(mat, a, b) for a in range(1 << r) for b in range(1 << r)]

@@ -3,7 +3,6 @@
 import pytest
 
 from quiverdt.trees import (
-    charge,
     edge_count,
     enumerate_trees,
     interior_vertices,
@@ -47,10 +46,10 @@ def test_charge_additivity():
 
 
 def test_charge_of_leaf_and_root_child():
-    assert charge(2) == 0b10
+    assert leaf_mask(2) == 0b10
     tree = (1, (2, 3))
-    assert charge(tree[1]) == 0b110
-    assert charge(tree) == 0b111
+    assert leaf_mask(tree[1]) == 0b110
+    assert leaf_mask(tree) == 0b111
 
 
 def test_canonical_child_order():
