@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from . import checks
@@ -209,8 +210,9 @@ def main(argv=None) -> int:
     except ConsistencyFailure as exc:
         print(f"error: consistency failure at joint {exc.joint}: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - internal failure surface
+    except Exception as exc:  # internal failure surface
         print(f"internal error: {exc}", file=sys.stderr)
+        traceback.print_exc()
         return 1
 
 

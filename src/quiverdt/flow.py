@@ -15,11 +15,17 @@ splits.
 Every quantity a split reads is a subset sum over the bits of J.  For a
 skew M, M(e_L, e_L) = 0, so M(e_L, e_{J minus L}) = M(e_L, e_J), and the
 pairings eta(e_L, e_R) and omega(e_L, e_R) are the sums over L of the
-row sums M(e_i, e_J); theta(e_L) is the sum over L of theta.  Each
-non-leaf call builds these tables once, with subset_sums, over the
-splits L = {l} + S for S a proper subset of the rest of J, and updates
-theta only on the bits of J (its children read nothing else).  The
-bracket is passed the eta-pairing the evaluator has already read.
+row sums M(e_i, e_J); theta(e_L) is the sum over L of theta.  These
+tables are subset_sums over the splits L = {l} + S, S a proper subset of
+the rest of J.  Those of eta and omega depend on the mask alone and are
+built once per mask per evaluation; theta's is built per call, and theta
+is updated only on the bits of J (its children read nothing else).
+
+The evaluator runs in integers: the rules read only signs, so F(J, c theta)
+= F(J, theta) for c > 0, and omega's positive multiples give the same step.
+theta and omega start as integer multiples; at a = theta(e_L), b =
+omega(e_L, e_R) the step carries |b| theta' = |b| theta - sgn(b) a
+iota_{e_J} omega, integers with the signs and zeros of theta'.
 
 Evaluation doubles as the certificate of a sampled perturbation: every
 sign argument the sum depends on is read, and a zero one raises
@@ -30,6 +36,7 @@ ZeroSignArgument.  The samplers therefore evaluate the draws of
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import LaurentPoly, kappa
 from .errors import InvalidInput, SamplingTimeout, ZeroSignArgument
@@ -62,39 +69,41 @@ def scalar_context(r: int) -> BracketContext:
     )
 
 
-def _evaluate(mask: int, theta, eta, form, ctx: BracketContext):
+def _evaluate(mask: int, theta, eta, form, ctx: BracketContext, tables: dict):
     """F(mask, theta): the flow tree sum over the trees on the indices of mask.
 
-    Entry s of each table below belongs to the split L = {low} + (the
-    subset s of the other bits); for the skew forms, M(e_L, e_R) = M(e_L, e_J).
+    Entry s of each table belongs to the split L = {low} + (the subset s
+    of the other bits); ``tables`` keeps, per mask, those of eta and omega.
     """
     if mask & (mask - 1) == 0:
         return ctx.leaf_values[mask.bit_length()]
-    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    eta_rows = [sum(eta[i][j] for j in bits) for i in bits]  # eta(e_i, e_J)
-    form_rows = [sum(form[i][j] for j in bits) for i in bits]  # omega(e_i, e_J)
-    lefts = subset_sums([1 << i for i in bits[1:]], 1 << bits[0])
+    table = tables.get(mask)
+    if table is None:
+        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        eta_rows = [sum(eta[i][j] for j in bits) for i in bits]  # eta(e_i, e_J)
+        form_rows = [sum(form[i][j] for j in bits) for i in bits]  # omega(e_i, e_J)
+        lefts = subset_sums([1 << i for i in bits[1:]], 1 << bits[0])
+        etas = subset_sums(eta_rows[1:], eta_rows[0])
+        forms = subset_sums(form_rows[1:], form_rows[0])
+        splits = [t for t in zip(range(len(lefts) - 1), lefts, etas, forms) if t[2]]  # all but L = J
+        table = tables[mask] = (bits, form_rows, splits)
+    bits, form_rows, splits = table
     thetas = subset_sums([theta[i] for i in bits[1:]], theta[bits[0]])
-    etas = subset_sums(eta_rows[1:], eta_rows[0])
-    forms = subset_sums(form_rows[1:], form_rows[0])
     total = ctx.zero
-    for left, pairing, a, b in zip(lefts[:-1], etas, thetas, forms):  # all but L = J
-        if pairing == 0:
-            continue
-        right = mask ^ left
+    for s, left, pairing, b in splits:
+        a, right = thetas[s], mask ^ left
         if a == 0 or b == 0:
             raise ZeroSignArgument(f"vanishing sign argument at split {left:b}|{right:b}")
         if (a > 0) != (b > 0):
             continue  # eps = 0
-        # theta + (a / b) iota_{e_J} omega on the bits of J; omega(e_J, e_i) = -omega(e_i, e_J)
-        coef = Fraction(a) / b
-        step = list(theta)
+        # |b| times theta - (a / b) omega(e_i, e_J) on the bits of J; here sgn(b) a = |a|
+        step, a_abs, b_abs = list(theta), abs(a), abs(b)
         for i, v in zip(bits, form_rows):
-            step[i] -= coef * v
+            step[i] = b_abs * theta[i] - a_abs * v
         # Both sides are evaluated even when one is zero, so that every sign
         # argument the sum depends on is checked.
-        value_left = _evaluate(left, step, eta, form, ctx)
-        value_right = _evaluate(right, step, eta, form, ctx)
+        value_left = _evaluate(left, step, eta, form, ctx, tables)
+        value_right = _evaluate(right, step, eta, form, ctx, tables)
         value = ctx.bracket(value_left, value_right, left, right, pairing)
         total = total + (-value if a > 0 else value)
     return total
@@ -103,18 +112,31 @@ def _evaluate(mask: int, theta, eta, form, ctx: BracketContext):
 def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
     """Flow tree map of the index subset ``indices``, started at alpha0.
 
-    ``eta`` and ``form`` are skew matrices; the sum reads every pairing
-    as M(e_L, e_J), which equals M(e_L, e_R) only for a skew M, so either
-    one failing to be skew raises InvalidInput.  The value is graded at
-    e_J for J = indices.  Raises ZeroSignArgument when a sign argument
-    the sum depends on vanishes.
+    ``eta``, ``form`` and ``alpha0`` need one size, int or Fraction entries
+    (integral ones in eta), indices in 1..len(eta), and skew
+    matrices (the sum reads M(e_L, e_R) as M(e_L, e_J)); else InvalidInput.
+    The value is graded at e_J for J = indices.  Raises ZeroSignArgument
+    when a sign argument the sum depends on vanishes.
     """
     check_skew(eta, "eta")
     check_skew(form, "form")
+    alpha0, n = tuple(alpha0), len(eta)
+    if len(form) != n or len(alpha0) != n:
+        raise InvalidInput(f"form and alpha0 must have the size {n} of eta")
+    to_scale = [*alpha0, *(x for row in form for x in row)]
+    if not all(isinstance(x, (int, Fraction)) for x in to_scale + [x for row in eta for x in row]):
+        raise InvalidInput("eta, form and alpha0 need int or Fraction entries")
+    if any(x.denominator != 1 for row in eta for x in row):
+        raise InvalidInput("eta needs integral entries")
+    eta = [[int(x) for x in row] for row in eta]
     mask = 0
     for i in indices:
+        if not 1 <= i <= n:
+            raise InvalidInput(f"index {i} is outside 1..{n}")
         mask |= 1 << (i - 1)
-    return _evaluate(mask, tuple(alpha0), eta, form, ctx)
+    c = lcm(*(x.denominator for x in to_scale))
+    form = [[int(x * c) for x in row] for row in form]
+    return _evaluate(mask, [int(x * c) for x in alpha0], eta, form, ctx, {})
 
 
 def flow_tree_map(aux: AuxLattice, ctx: BracketContext, alpha0, form):

@@ -130,3 +130,31 @@ def tree_sum(r: int, eta, start, form, ctx):
         if weight is not None:
             total = total + weight
     return total
+
+
+def reads_zero_sign(r: int, eta, start, form) -> bool:
+    """Whether the split evaluator meets a vanishing sign argument, read tree by tree.
+
+    Every tree on 1..r is walked from the root with the discrete flow.  A
+    vertex is read when its children pair nonzero under eta and every
+    vertex above it was read with a nonzero epsilon: the evaluator drops
+    eta-orthogonal splits before any sign and stops below a zero epsilon.
+    """
+
+    def walk(node, theta_parent):
+        if is_leaf(node):
+            return False
+        left, right = node
+        if pair_masks(eta, leaf_mask(left), leaf_mask(right)) == 0:
+            return False
+        try:
+            a, b = _sign_arguments(theta_parent, left, right, form)
+        except ZeroSignArgument:
+            return True
+        if _epsilon(a, b) == 0:
+            return False
+        coef = Fraction(a, 1) / b
+        theta = tuple(tp + coef * rv for tp, rv in zip(theta_parent, _contraction(form, leaf_mask(node))))
+        return walk(left, theta) or walk(right, theta)
+
+    return any(walk(tree, tuple(start)) for tree in enumerate_trees(range(1, r + 1)))

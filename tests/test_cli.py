@@ -1,8 +1,15 @@
 """Command-line surface: outputs, exit codes, determinism, cache transparency."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from quiverdt.cli import main
+
+TREES_3 = "count 3\n{{{1,2},3}}\n{{{1,3},2}}\n{{1,{2,3}}}\n"
 
 
 @pytest.fixture
@@ -28,7 +35,7 @@ def _run(capsys, argv):
 def test_trees_command(capsys):
     code, out = _run(capsys, ["trees", "3"])
     assert code == 0
-    assert out == "count 3\n{{{1,2},3}}\n{{{1,3},2}}\n{{1,{2,3}}}\n"
+    assert out == TREES_3
 
 
 def test_trees_command_r1_and_r5(capsys):
@@ -315,3 +322,27 @@ def test_dt_assembles_each_divisor_class_once(capsys, tmp_path, monkeypatch):
     )
     assert code == 0 and out.startswith("Omega_bar = ") and "\nOmega = " in out
     assert calls == [(2, 2, 2), (1, 1, 1)]
+
+
+def test_python_dash_m_runs_the_command():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "quiverdt", "trees", "3"], capture_output=True, env=env, timeout=60
+    )
+    assert done.returncode == 0 and done.stdout == TREES_3.encode(), done.stderr
+
+
+def test_internal_failure_prints_traceback(capsys, monkeypatch):
+    from quiverdt import cli
+
+    def boom(args, out):
+        out.write("partial\n")
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(cli, "_cmd_trees", boom)
+    code = main(["trees", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "partial\n"
+    assert captured.err.startswith("internal error: injected\nTraceback (most recent call last)")
+    assert captured.err.endswith("RuntimeError: injected\n")

@@ -6,6 +6,7 @@ of quiverdt.flow is checked against.
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -21,10 +22,18 @@ from quiverdt.flow import (
     sample_omega,
     scalar_context,
 )
-from quiverdt.lattice import AuxLattice, Quiver, build_aux
+from quiverdt.lattice import AuxLattice, Quiver, beta_draws, build_aux, omega_draws
 from quiverdt.trees import is_leaf, leaf_mask
 
-from flow_reference import epsilon_signs, run_flow, supported_trees, tree_sum, tree_weight
+from flow_reference import (
+    _sign_arguments,
+    epsilon_signs,
+    reads_zero_sign,
+    run_flow,
+    supported_trees,
+    tree_sum,
+    tree_weight,
+)
 from lattice_reference import mask_sum
 
 
@@ -213,6 +222,104 @@ def test_flow_tree_sum_rejects_a_non_skew_matrix(which):
         flow_tree_sum(range(1, 4), aux.eta, scalar_context(3), aux.alpha, omega[:2])
 
 
+ETA3 = K2_AUX.eta
+HALF = Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "indices, eta, alpha0, form",
+    [
+        (range(1, 4), ETA3, (1, -1), ETA3),  # alpha0 shorter than eta
+        (range(1, 4), ETA3, (1, 1, -2), ((0, 1), (-1, 0))),  # a 2x2 form under a 3x3 eta
+        (range(1, 5), ETA3, (1, 1, -2), ETA3),  # index 4 of a rank-3 eta
+        ([0, 1], ETA3, (1, 1, -2), ETA3),  # index 0
+        (range(1, 4), ETA3, (1.5, 2, -3.5), ETA3),  # a float start point
+        (range(1, 4), ETA3, (1, 1, -2), ((0.0, 1, 1), (-1, 0, 1), (-1, -1, 0))),  # a float form
+        (range(1, 4), ((0, 1.0, 1), (-1.0, 0, 1), (-1, -1, 0)), (1, 1, -2), ETA3),  # a float eta
+        (range(1, 4), ((0, HALF, 1), (-HALF, 0, 1), (-1, -1, 0)), (1, 1, -2), ETA3),  # eta not integral
+    ],
+)
+def test_flow_tree_sum_rejects_malformed_input(indices, eta, alpha0, form):
+    with pytest.raises(InvalidInput):
+        flow_tree_sum(indices, eta, scalar_context(3), alpha0, form)
+
+
+def test_flow_tree_sum_accepts_integral_fraction_eta():
+    eta = tuple(tuple(Fraction(x) for x in row) for row in ETA3)
+    ctx = scalar_context(3)
+    omega = sample_omega(K2_AUX, 0).entries
+    assert flow_tree_sum(range(1, 4), eta, ctx, K2_AUX.alpha, omega) == flow_tree_sum(
+        range(1, 4), ETA3, ctx, K2_AUX.alpha, omega
+    )
+
+
+def _reference_check(r, eta, start, form) -> bool:
+    """Check the evaluator against the reference; return whether a sign vanished.
+
+    The evaluator raises ZeroSignArgument exactly where the tree-by-tree
+    walk reads a zero sign argument, and otherwise equals tree_sum.
+    """
+    ctx = scalar_context(r)
+    if reads_zero_sign(r, eta, start, form):
+        with pytest.raises(ZeroSignArgument):
+            flow_tree_sum(range(1, r + 1), eta, ctx, start, form)
+        return True
+    assert flow_tree_sum(range(1, r + 1), eta, ctx, start, form) == tree_sum(r, eta, start, form, ctx)
+    return False
+
+
+def test_split_evaluator_off_dyadic_points():
+    # Points on the flow half-line of the joint check, alpha + t iota_{e_I} omega,
+    # at t with odd denominators, under omega and under a form with the
+    # perturbation divided by 3.
+    evaluated = 0
+    for r in (3, 4, 5):
+        for trial in range(2):
+            aux = random_instance(r, 600 + 10 * r + trial)
+            omega = sample_omega(aux, trial).entries
+            third = tuple(
+                tuple(e + (w - e) / 3 for e, w in zip(eta_row, row))
+                for eta_row, row in zip(aux.eta, omega)
+            )
+            for form in (omega, third):
+                iota = [-sum(row) for row in form]  # omega(e_I, e_j)
+                for t in (Fraction(1, 3), Fraction(2, 7)):
+                    point = tuple(a + t * v for a, v in zip(aux.alpha, iota))
+                    evaluated += not _reference_check(r, aux.eta, point, form)
+    assert evaluated > 0
+
+
+def test_zero_sign_arguments_raise_as_in_the_reference():
+    # The first 16 draws of each sampler; beta's first draw, alpha itself,
+    # has a zero sign argument on the instances (4, 2), (4, 32) and (5, 3).
+    raised = evaluated = 0
+    for r, seed in ((3, 0), (4, 2), (4, 32), (5, 3)):
+        aux = random_instance(r, seed)
+        candidates = [(aux.alpha, omega) for omega in islice(omega_draws(aux, 0), 16)]
+        candidates += [(beta, aux.eta) for beta in islice(beta_draws(aux, 0), 16)]
+        for start, form in candidates:
+            if _reference_check(r, aux.eta, start, form):
+                raised += 1
+            else:
+                evaluated += 1
+    assert raised > 0 and evaluated > 0
+
+
+def test_recursion_through_a_negative_omega_split():
+    # At the root split {1} | {2, 3}, theta(e_L) = -1 and omega(e_L, e_R) = -1:
+    # epsilon is +1, and the flow step divides by a negative pairing before
+    # the split of {2, 3} reads its signs (epsilon 0 there).  The value is
+    # the tree ((1, 2), 3), whose lower split has omega(e_1, e_2) = -2.
+    eta = ((0, -2, 1), (2, 0, 2), (-1, -2, 0))
+    start = (-1, 3, -2)
+    assert _sign_arguments(start, 1, (2, 3), eta) == (-1, -1)
+    assert not _reference_check(3, eta, start, eta)
+    # A positive multiple of the start point has the same value (the evaluator scales by 3).
+    for scale in (1, Fraction(1, 3)):
+        value = flow_tree_sum(range(1, 4), eta, scalar_context(3), [scale * x for x in start], eta)
+        assert value == LaurentPoly({-3: -1, -1: -2, 1: -2, 3: -1})
+
+
 def _perturbation(aux, mode, seed):
     """(start, form) of the perturbation flow_tree_scalar certifies for the seed."""
     if mode == "omega":
@@ -222,9 +329,9 @@ def _perturbation(aux, mode, seed):
 
 
 @pytest.mark.parametrize("mode", ["omega", "beta"])
-@pytest.mark.parametrize("r", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("r", [2, 3, 4, 5, 6, 7])
 def test_split_evaluator_equals_tree_sum(r, mode):
-    for trial in range(4 if r < 6 else 2):
+    for trial in range(4 if r < 6 else 2 if r == 6 else 1):
         aux = random_instance(r, 700 + 10 * r + trial)
         start, form = _perturbation(aux, mode, trial)
         expected = tree_sum(r, aux.eta, start, form, scalar_context(r))
