@@ -22,7 +22,6 @@ _EXPORTS = {
     "flow": ("BracketContext", "flow_tree_map", "flow_tree_scalar", "sample_beta", "sample_omega"),
     "lattice": (
         "AuxLattice",
-        "OmegaForm",
         "Quiver",
         "SkewForm",
         "build_aux",

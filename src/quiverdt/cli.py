@@ -27,7 +27,7 @@ from .lattice import Quiver, build_aux, parse_covector, parse_dimvec, parse_quiv
 from .scattering import reconstruct_rank2
 from .trees import enumerate_trees, render_tree, tree_count
 
-MAX_R = 10  # largest r of `trees` and `check perturbation|joints`: their work grows at least as 4^r
+MAX_R = 10  # largest r of `trees` and `check perturbation|joints`: their work grows at least as 3^r
 
 
 def _check_r(r: int) -> None:
@@ -86,10 +86,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_input(path) -> str:
+    """The text of an input file; a file that cannot be read as UTF-8 is invalid input."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read {path}: {exc}") from exc
+
+
 def _load_attractor(path, vertex_count: int) -> AttractorTable:
     if path is None:
         return AttractorTable(acyclic_default=True)
-    table = AttractorTable.parse(Path(path).read_text())
+    table = AttractorTable.parse(_read_input(path))
     for gamma in table.entries:
         if len(gamma) != vertex_count:
             raise InvalidInput(
@@ -110,7 +118,7 @@ def _cmd_trees(args, out) -> int:
 
 
 def _cmd_f(args, out) -> int:
-    quiver = parse_quiver(Path(args.quiver).read_text())
+    quiver = parse_quiver(_read_input(args.quiver))
     gammas = [parse_dimvec(g) for g in args.gammas]
     theta = parse_covector(args.theta)
     aux = build_aux(quiver, gammas, theta)
@@ -123,7 +131,7 @@ def _cmd_f(args, out) -> int:
 
 
 def _cmd_dt(args, out) -> int:
-    quiver = parse_quiver(Path(args.quiver).read_text())
+    quiver = parse_quiver(_read_input(args.quiver))
     gamma = parse_dimvec(args.gamma)
     theta = parse_covector(args.theta)
     table = _load_attractor(args.attractor, quiver.vertex_count)
@@ -147,7 +155,7 @@ def _cmd_oracle(args, out) -> int:
     if (args.quiver is None) == (args.m is None):
         raise InvalidInput("give exactly one of --quiver or --m")
     if args.quiver is not None:
-        quiver = parse_quiver(Path(args.quiver).read_text())
+        quiver = parse_quiver(_read_input(args.quiver))
         if quiver.vertex_count != 2:
             raise InvalidInput("the rank-2 oracle needs a 2-vertex quiver")
     else:

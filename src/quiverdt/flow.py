@@ -40,7 +40,7 @@ from math import lcm
 
 from .algebra import LaurentPoly, kappa
 from .errors import InvalidInput, SamplingTimeout, ZeroSignArgument
-from .lattice import AuxLattice, OmegaForm, beta_draws, check_skew, omega_draws, subset_sums
+from .lattice import AuxLattice, beta_draws, check_skew, omega_draws, subset_sums
 
 
 class BracketContext:
@@ -113,10 +113,10 @@ def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
     """Flow tree map of the index subset ``indices``, started at alpha0.
 
     ``eta``, ``form`` and ``alpha0`` need one size, int or Fraction entries
-    (integral ones in eta), indices in 1..len(eta), and skew
-    matrices (the sum reads M(e_L, e_R) as M(e_L, e_J)); else InvalidInput.
-    The value is graded at e_J for J = indices.  Raises ZeroSignArgument
-    when a sign argument the sum depends on vanishes.
+    (integral ones in eta), and skew matrices (the sum reads M(e_L, e_R) as
+    M(e_L, e_J)); ``indices`` must be nonempty and distinct in 1..len(eta).
+    Else InvalidInput.  The value is graded at e_J for J = indices.  Raises
+    ZeroSignArgument when a sign argument the sum depends on vanishes.
     """
     check_skew(eta, "eta")
     check_skew(form, "form")
@@ -133,7 +133,11 @@ def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
     for i in indices:
         if not 1 <= i <= n:
             raise InvalidInput(f"index {i} is outside 1..{n}")
+        if mask >> (i - 1) & 1:
+            raise InvalidInput(f"index {i} is repeated")
         mask |= 1 << (i - 1)
+    if not mask:
+        raise InvalidInput("indices must not be empty")
     c = lcm(*(x.denominator for x in to_scale))
     form = [[int(x * c) for x in row] for row in form]
     return _evaluate(mask, [int(x * c) for x in alpha0], eta, form, ctx, {})
@@ -166,7 +170,7 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
     raise SamplingTimeout(f"no admissible {mode} after {budget} resamples")
 
 
-def sample_omega(aux: AuxLattice, seed: int, budget: int = 1000) -> OmegaForm:
+def sample_omega(aux: AuxLattice, seed: int, budget: int = 1000) -> tuple:
     """The first omega = eta + 2^-k R drawn for the seed on which the flow evaluates.
 
     The draws of ``lattice.omega_draws`` already lie in U^eta; evaluating
@@ -174,7 +178,7 @@ def sample_omega(aux: AuxLattice, seed: int, budget: int = 1000) -> OmegaForm:
     Deterministic per seed.
     """
     omega, _ = _first_generic(aux, "omega", seed, budget)
-    return OmegaForm(entries=omega)
+    return omega
 
 
 def sample_beta(aux: AuxLattice, seed: int, budget: int = 1000):

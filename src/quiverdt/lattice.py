@@ -8,14 +8,16 @@ pairing of {0,1}-vectors in the package is read off subset sums, one
 addition per mask (``subset_sums``).  For a skew M, M(e_L, e_L) = 0, so
 M(e_L, e_{J minus L}) = M(e_L, e_J): the pairings of the splits of J are
 the subset sums of the row sums M(e_i, e_J), which is how ``flow`` and
-the joint check read them.  The draws need pairings of overlapping masks
-too; those form one subset-sum table per row (``_pair_table``).
+the joint check read them.  The draws read the pairings of disjoint
+masks A, B as subset sums of the row e_A^T M over the complement of A
+(``_disjoint_pairings``, 3^r entries).
 
 The perturbation draws here are dyadic rationals with denominator
-PERTURBATION_DENOM * 2^k, drawn as integer numerators so that the sign
-and shrink tests on all 4^r mask pairs are integer comparisons; ``flow``
-certifies a draw by evaluating the flow tree formula on it and moves to
-the next one on failure.
+PERTURBATION_DENOM * 2^k, drawn as integer numerators so that their sign
+tests are integer comparisons.  ``AuxLattice`` requires an integral eta,
+which fixes the shrink exponent of the omega draws in closed form (8 for
+r <= 27, see ``omega_draws``); ``flow`` certifies a draw by evaluating the
+flow tree formula on it and moves to the next one on failure.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def subset_sums(values, start=0) -> list:
 class AuxLattice:
     """Rank-r lattice with basis mapped to the classes gamma_1..gamma_r.
 
-    eta is the pulled-back integer skew form, alpha the pulled-back
-    stability point; alpha(e_I) = 0 always holds.
+    eta is the pulled-back integer skew form (int or integral Fraction
+    entries), alpha the pulled-back stability point; alpha(e_I) = 0 always
+    holds.
     """
 
     gammas: tuple
@@ -186,6 +189,9 @@ class AuxLattice:
         if len(self.eta) != r or len(self.alpha) != r:
             raise InvalidInput("inconsistent auxiliary lattice data")
         check_skew(self.eta, "eta")
+        entries = [x for row in self.eta for x in row]
+        if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in entries):
+            raise InvalidInput("eta needs integral entries")
         if sum(self.alpha) != 0:
             raise NotOnWall("alpha does not annihilate e_I")
 
@@ -253,19 +259,20 @@ def _random_skew(rng, r: int):
     return m
 
 
-def _pair_table(matrix, r: int) -> list:
-    """table[a << r | b] = e_a^T M e_b for every pair of masks a, b < 2^r.
+def _disjoint_pairings(matrix, r: int) -> list:
+    """e_A^T M e_B for every pair of disjoint nonempty masks A, B < 2^r, A first then B ascending.
 
-    The rows e_a^T M are the subset sums of the rows of M, and the table
-    is the subset sums of each of them in turn: one addition per entry.
+    The rows e_A^T M are the subset sums of the rows of M, and the pairings
+    of one of them are its subset sums over the bits of the complement of
+    A: 3^r entries in all, one addition each.
     """
     rows = [[0] * r]
     for mrow in matrix:
         rows += [[x + y for x, y in zip(row, mrow)] for row in rows]
-    table = []
-    for row in rows:
-        table += subset_sums(row)
-    return table
+    pairings = []
+    for a in range(1, 1 << r):
+        pairings += subset_sums([x for j, x in enumerate(rows[a]) if not a >> j & 1])[1:]
+    return pairings
 
 
 def _shrink_exponent(base, pert, start: int = 8) -> int:
@@ -278,53 +285,34 @@ def _shrink_exponent(base, pert, start: int = 8) -> int:
     return max(start, worst.bit_length())
 
 
-@dataclass(frozen=True)
-class OmegaForm:
-    """Exact-rational skew perturbation of eta."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        check_skew(self.entries, "omega")
-
-
 def omega_draws(aux: AuxLattice, seed: int, budget: int = 1000):
     """Yield candidate forms omega = eta + 2^-k R in U^eta, deterministically per seed.
 
-    Each of the ``budget`` resamples draws a random dyadic skew R.  An R
-    that vanishes on a disjoint pair where eta does is skipped (omega must
-    not vanish there, U_J); otherwise 2^-k starts at the smallest value
-    that keeps the signs of eta on every pair where eta is nonzero (U^eta),
-    and the draw is yielded at eight successive halvings of it.  Membership
-    in U_{I,alpha} is left to the caller.  R is handled as integer
-    numerators over PERTURBATION_DENOM, and every pairing is read off one
-    ``_pair_table`` per matrix.
+    Each of the ``budget`` resamples draws a random dyadic skew R with
+    entries in [-1, 1].  An R that vanishes on a disjoint pair where eta
+    does is skipped (omega must not vanish there, U_J); otherwise the draw
+    is yielded at 2^-k for eight successive k from k0.  Membership in
+    U_{I,alpha} is left to the caller.
+
+    k0 keeps the signs of eta on every pair where eta is nonzero (U^eta).
+    In e_A^T R e_B the terms R_ij with i and j both in A & B cancel (R is
+    skew), which leaves ab + bc + ca <= r^2 / 3 terms of size at most 1,
+    with a = |A - B|, b = |B - A| and c = |A & B|; a nonzero integer
+    eta-pairing is at least 1.  So 2^k0 > floor(r^2 / 3) suffices, and
+    k0 = 8 for r <= 27.
     """
     if not alpha_is_generic(aux.eta, aux.alpha):
         raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
     r = aux.r
     eta = aux.eta
-    size = 1 << r
-    eta_table = _pair_table(eta, r)
-    sign_pairs = []
-    zero_disjoint = []
-    for ma in range(1, size):
-        for mb in range(ma + 1, size):
-            pair = ma << r | mb
-            if eta_table[pair] != 0:
-                sign_pairs.append(pair)
-            elif not ma & mb:
-                zero_disjoint.append(pair)
-    # |eta| over the draws' denominator, so that the numerators compare directly
-    sign_base = [abs(eta_table[pair]) * PERTURBATION_DENOM for pair in sign_pairs]
-
+    k0 = max(8, (r * r // 3).bit_length())
+    zeros = [i for i, e in enumerate(_disjoint_pairings(eta, r)) if e == 0]
     for attempt in range(budget):
         rng = _rng(seed, "omega", attempt)
         numer = _random_skew(rng, r)
-        table = _pair_table(numer, r)
-        if any(table[pair] == 0 for pair in zero_disjoint):
+        pairings = _disjoint_pairings(numer, r)
+        if any(pairings[i] == 0 for i in zeros):
             continue
-        k0 = _shrink_exponent(sign_base, [table[pair] for pair in sign_pairs])
         for k in range(k0, k0 + 8):
             denom = PERTURBATION_DENOM << k
             yield tuple(

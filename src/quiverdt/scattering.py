@@ -26,7 +26,7 @@ from .errors import (
     NotOnWall,
     ZeroSignArgument,
 )
-from .flow import flow_tree_sum, sample_omega, scalar_context
+from .flow import _first_generic, flow_tree_sum, scalar_context
 from .lattice import (
     AuxLattice,
     SkewForm,
@@ -486,7 +486,7 @@ def check_joint_consistency(
     if r < 2:
         raise InvalidInput("joint consistency needs r >= 2")
     eta = aux.eta
-    omega = sample_omega(aux, seed, budget).entries
+    omega, value_at_alpha = _first_generic(aux, "omega", seed, budget)
     alpha = aux.alpha
     full = (1 << r) - 1
     # M(e_m, e_I) per mask m; for a skew M it equals M(e_m, e_{I minus m})
@@ -534,7 +534,6 @@ def check_joint_consistency(
                 continue
         raise ConsistencyFailure("no generic sample point on a segment", joint=lo)
 
-    value_at_alpha = wall_value(alpha)
     ts = [rec[0] for rec in located]
     bounds = [Fraction(0)] + ts
     segment_values = []

@@ -61,7 +61,7 @@ def test_criterion_2_flow_well_definedness():
         r = rng.randrange(2, 6)
         aux = random_instance(r, 10_000 + trial)
         trial += 1
-        omega = sample_omega(aux, 0).entries
+        omega = sample_omega(aux, 0)
         supported = [t for t in supported_trees(aux.eta, r) if not is_leaf(t)]
         if not supported:
             continue

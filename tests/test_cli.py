@@ -133,7 +133,22 @@ def test_dt_exit_codes(capsys, kronecker1):
 
 def test_dt_missing_file(capsys):
     code, _ = _run(capsys, ["dt", "--quiver", "/nonexistent", "--gamma", "1,1", "--theta", "1,-1"])
-    assert code == 1
+    assert code == 2
+
+
+def test_unreadable_input_files_exit_2(capsys, tmp_path, kronecker1):
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"vertices 2 # caf\xe9\n")
+    for bad in (tmp_path, latin1, tmp_path / "missing"):
+        for argv in (
+            ["F", "--quiver", str(bad), "--gammas", "1,0", "0,1", "--theta", "1,-1"],
+            ["dt", "--quiver", str(bad), "--gamma", "1,1", "--theta", "1,-1"],
+            ["dt", "--quiver", kronecker1, "--gamma", "1,1", "--theta", "1,-1", "--attractor", str(bad)],
+            ["oracle", "rank2", "--quiver", str(bad), "--degree", "2"],
+            ["oracle", "rank2", "--m", "1", "--degree", "2", "--attractor", str(bad)],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err.startswith("error: cannot read"), argv
 
 
 def test_oracle_command(capsys):
@@ -346,3 +361,38 @@ def test_internal_failure_prints_traceback(capsys, monkeypatch):
     assert code == 1 and captured.out == "partial\n"
     assert captured.err.startswith("internal error: injected\nTraceback (most recent call last)")
     assert captured.err.endswith("RuntimeError: injected\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM, a Linux procfs field")
+def test_f_at_the_largest_rank_peaks_under_60_mb(tmp_path):
+    # The omega draws must hold nothing of size 4^r: at r = 10, tables over
+    # all mask pairs take the peak resident set of `F` to about 138 MB.  The
+    # child reports VmHWM, the peak of its own address space: ru_maxrss
+    # would also count the address space of the test process that spawned it.
+    from quiverdt.checks import random_instance
+
+    aux = random_instance(10, 0)
+    arrows = "".join(
+        f"arrow {i + 1} {j + 1} {x}\n" for i, row in enumerate(aux.eta) for j, x in enumerate(row) if x > 0
+    )
+    path = tmp_path / "r10.quiver"
+    path.write_text(f"vertices 10\n{arrows}")
+    gammas = [",".join(map(str, g)) for g in aux.gammas]
+    theta = ",".join(map(str, aux.alpha))
+    child = (
+        "import re, sys\n"
+        "from pathlib import Path\n"
+        "from quiverdt.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "status = Path('/proc/self/status').read_text()\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", child, "F", "--quiver", str(path), "--gammas", *gammas, f"--theta={theta}"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert done.returncode == 0 and done.stdout.strip(), done.stderr
+    assert int(done.stderr.split()[-1]) < 60 * 1024  # kB

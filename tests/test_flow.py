@@ -57,7 +57,7 @@ def test_flow_rank2_lands_at_origin():
 
 
 def test_flow_wall_membership_rank3():
-    omega = sample_omega(K2_AUX, 0).entries
+    omega = sample_omega(K2_AUX, 0)
     for tree in supported_trees(K2_AUX.eta, 3):
         if is_leaf(tree):
             continue
@@ -106,7 +106,7 @@ def test_child_relabeling_invariance():
     for trial in range(30):
         r = rng.randrange(2, 6)
         aux = random_instance(r, trial + 500)
-        omega = sample_omega(aux, 0).entries
+        omega = sample_omega(aux, 0)
         supported = [t for t in supported_trees(aux.eta, r) if not is_leaf(t)]
         if not supported:
             continue
@@ -127,7 +127,7 @@ def test_flow_linearity_in_alpha():
     # theta depends linearly on the start point for a fixed form.
     rng = random.Random(21)
     eta = K2_AUX.eta
-    omega = sample_omega(K2_AUX, 1).entries
+    omega = sample_omega(K2_AUX, 1)
     trees = [t for t in supported_trees(eta, 3) if not is_leaf(t)]
     for _ in range(10):
         a1 = [Fraction(rng.randrange(-5, 6)) for _ in range(2)]
@@ -183,14 +183,14 @@ def test_scalar_invalid_mode():
 
 def test_flow_tree_map_scalar_reduction():
     aux = K2_AUX
-    omega = sample_omega(aux, 0).entries
+    omega = sample_omega(aux, 0)
     ctx = scalar_context(aux.r)
     assert flow_tree_map(aux, ctx, aux.alpha, omega) == flow_tree_scalar(aux, seed=0)
 
 
 def test_flow_tree_map_abelian_vanishes():
     aux = K2_AUX
-    omega = sample_omega(aux, 0).entries
+    omega = sample_omega(aux, 0)
     ctx = BracketContext(
         bracket=lambda x, y, mx, my, pairing: LaurentPoly.zero(),
         leaf_values={i: LaurentPoly.const(1) for i in range(1, 4)},
@@ -201,7 +201,7 @@ def test_flow_tree_map_abelian_vanishes():
 
 def test_flow_tree_sum_subset():
     aux = K2_AUX
-    omega = sample_omega(aux, 0).entries
+    omega = sample_omega(aux, 0)
     ctx = scalar_context(aux.r)
     # the pair {1, 3} has eta-pairing 2; its two-leaf sum is a rank-2 coefficient
     value = flow_tree_sum([1, 3], aux.eta, ctx, aux.alpha, omega)
@@ -212,7 +212,7 @@ def test_flow_tree_sum_subset():
 def test_flow_tree_sum_rejects_a_non_skew_matrix(which):
     # the evaluator reads M(e_L, e_R) as M(e_L, e_J), which needs M skew
     aux = K2_AUX
-    omega = sample_omega(aux, 0).entries
+    omega = sample_omega(aux, 0)
     bent = [list(row) for row in omega]
     bent[0][1] += 1
     eta, form = (bent, omega) if which == "eta" else (aux.eta, bent)
@@ -237,6 +237,8 @@ HALF = Fraction(1, 2)
         (range(1, 4), ETA3, (1, 1, -2), ((0.0, 1, 1), (-1, 0, 1), (-1, -1, 0))),  # a float form
         (range(1, 4), ((0, 1.0, 1), (-1.0, 0, 1), (-1, -1, 0)), (1, 1, -2), ETA3),  # a float eta
         (range(1, 4), ((0, HALF, 1), (-HALF, 0, 1), (-1, -1, 0)), (1, 1, -2), ETA3),  # eta not integral
+        ([], ETA3, (1, 1, -2), ETA3),  # no index
+        ([1, 1], ETA3, (1, 1, -2), ETA3),  # a repeated index
     ],
 )
 def test_flow_tree_sum_rejects_malformed_input(indices, eta, alpha0, form):
@@ -247,7 +249,7 @@ def test_flow_tree_sum_rejects_malformed_input(indices, eta, alpha0, form):
 def test_flow_tree_sum_accepts_integral_fraction_eta():
     eta = tuple(tuple(Fraction(x) for x in row) for row in ETA3)
     ctx = scalar_context(3)
-    omega = sample_omega(K2_AUX, 0).entries
+    omega = sample_omega(K2_AUX, 0)
     assert flow_tree_sum(range(1, 4), eta, ctx, K2_AUX.alpha, omega) == flow_tree_sum(
         range(1, 4), ETA3, ctx, K2_AUX.alpha, omega
     )
@@ -276,7 +278,7 @@ def test_split_evaluator_off_dyadic_points():
     for r in (3, 4, 5):
         for trial in range(2):
             aux = random_instance(r, 600 + 10 * r + trial)
-            omega = sample_omega(aux, trial).entries
+            omega = sample_omega(aux, trial)
             third = tuple(
                 tuple(e + (w - e) / 3 for e, w in zip(eta_row, row))
                 for eta_row, row in zip(aux.eta, omega)
@@ -323,7 +325,7 @@ def test_recursion_through_a_negative_omega_split():
 def _perturbation(aux, mode, seed):
     """(start, form) of the perturbation flow_tree_scalar certifies for the seed."""
     if mode == "omega":
-        return aux.alpha, sample_omega(aux, seed).entries
+        return aux.alpha, sample_omega(aux, seed)
     eta_frac = tuple(tuple(Fraction(x) for x in row) for row in aux.eta)
     return sample_beta(aux, seed), eta_frac
 

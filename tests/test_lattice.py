@@ -26,7 +26,7 @@ from quiverdt.lattice import (
     AuxLattice,
     Quiver,
     SkewForm,
-    _pair_table,
+    _disjoint_pairings,
     _rng,
     _shrink_exponent,
     alpha_is_generic,
@@ -206,14 +206,14 @@ def _postcondition_omega(aux, omega):
 
 def test_sample_omega_rank2():
     aux = AuxLattice(gammas=((1, 0), (0, 1)), eta=((0, 1), (-1, 0)), alpha=(Fraction(1), Fraction(-1)))
-    omega = sample_omega(aux, 0).entries
+    omega = sample_omega(aux, 0)
     assert omega[0][1] > 0
     _postcondition_omega(aux, omega)
 
 
 def test_sample_omega_rank3_degenerate_pair():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
-    omega = sample_omega(aux, 0).entries
+    omega = sample_omega(aux, 0)
     assert omega[0][1] != 0  # eta(e1, e2) = 0 but U_J needs a nonzero pairing
     _postcondition_omega(aux, omega)
 
@@ -331,15 +331,15 @@ SKIP_ALPHA = (4, 1, 9, 5, -19)
 SKIP_SEED = 1903
 
 
-def test_subset_sums_and_pair_table_match_mask_sums():
+def test_subset_sums_and_disjoint_pairings_match_mask_sums():
     rng = _rng(11, "subset-sums")
     for r in range(0, 6):
         vec = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 5))) for _ in range(r)]
         assert subset_sums(vec) == [mask_sum(vec, m) for m in range(1 << r)]
         assert subset_sums(vec, 7) == [7 + mask_sum(vec, m) for m in range(1 << r)]
         mat = [[int(rng.integers(-5, 6)) for _ in range(r)] for _ in range(r)]
-        table = _pair_table(mat, r)
-        assert table == [pair_masks(mat, a, b) for a in range(1 << r) for b in range(1 << r)]
+        disjoint = [(a, b) for a in nonempty_masks(r) for b in nonempty_masks(r) if not a & b]
+        assert _disjoint_pairings(mat, r) == [pair_masks(mat, a, b) for a, b in disjoint]
 
 
 @pytest.mark.parametrize("r", range(1, 8))
@@ -362,22 +362,21 @@ def test_draws_equal_reference_when_the_zero_disjoint_skip_fires():
 
 
 def test_draws_equal_reference_when_the_shrink_exponent_exceeds_8():
-    # With integer eta, k stays 8 for r <= 16: an R-pairing sums fewer than
-    # 2^8 entries of size at most 1, and a nonzero eta-pairing is at least 1.
-    # A tiny rational eta (or alpha, for the beta draws) is what pushes k past 8.
+    # With integer eta, k stays 8 for r <= 27 (see omega_draws), and the
+    # lattice refuses any other eta; a tiny alpha is what pushes the beta
+    # draws' k past 8.
     tiny = Fraction(1, 10 ** 6)
-    eta = ((0, tiny, -2 * tiny), (-tiny, 0, tiny), (2 * tiny, -tiny, 0))
+    with pytest.raises(InvalidInput, match="integral"):
+        _unit_aux(((0, tiny, -2 * tiny), (-tiny, 0, tiny), (2 * tiny, -tiny, 0)), (1, 2, -3))
+    eta = ((0, Fraction(1), Fraction(-2)), (Fraction(-1), 0, Fraction(1)), (Fraction(2), Fraction(-1), 0))
     aux = _unit_aux(eta, (tiny, 2 * tiny, -3 * tiny))
-    draws = _first(omega_draws(aux, 5))
-    assert draws == _first(lattice_reference.omega_draws(aux, 5))
+    assert _first(omega_draws(aux, 5)) == _first(lattice_reference.omega_draws(aux, 5))
     starts = _first(beta_draws(aux, 5), 17)
     assert starts == _first(lattice_reference.beta_draws(aux, 5), 17)
 
     def is_large_power_of_two(scale):
         return scale.denominator == 1 and scale.numerator.bit_count() == 1 and scale > 1 << 8
 
-    r_entry = lattice_reference._random_skew(_rng(5, "omega", 0), 3)[0][1]
-    assert is_large_power_of_two(r_entry / (draws[0][0][1] - eta[0][1]))  # 2^k of the first draw
     delta_entry = lattice_reference._random_fraction(_rng(5, "beta", 0))
     assert is_large_power_of_two(delta_entry / (starts[1][0] - aux.alpha[0]))
 
