@@ -8,7 +8,7 @@ module needs.
 from importlib import import_module
 
 _EXPORTS = {
-    "algebra": ("BiLaurent", "BigRat", "LaurentPoly", "RatFunc", "kappa", "substitute_power"),
+    "algebra": ("BiLaurent", "LaurentPoly", "RatFunc", "kappa"),
     "dt": (
         "AttractorTable",
         "Decomposition",

@@ -25,11 +25,6 @@ from functools import lru_cache
 
 from .errors import InvalidInput, NotPolynomial
 
-# Arbitrary-precision rational; reduced form and positive denominator are
-# maintained by the stdlib type itself.
-BigRat = Fraction
-
-
 def _coeff(value) -> Fraction | int:
     """Coerce a coefficient-like input, keeping exact ints as ints."""
     if isinstance(value, (int, Fraction)):
@@ -271,11 +266,6 @@ class BiLaurent:
 
     def __repr__(self) -> str:
         return f"BiLaurent({self.render()})"
-
-
-def substitute_power(f: BiLaurent, k: int) -> BiLaurent:
-    """f(y, t) -> f(y^k, t^k)."""
-    return f.substitute_power(k)
 
 
 def _divmod_y(a: dict, b: dict):

@@ -8,12 +8,17 @@ Path-ordered products of wall elements are folded in a faithful
 associative model of the unipotent group (z^n -> (y - y^-1)^{delta(n)-1}
 x^n with x^a x^b = (-y)^{<a,b>} x^{a+b}); the tests check it against the
 Dynkin expansion of the BCH series.
+
+The rank-2 oracle reconstructs a consistent diagram from its initial
+(attractor-side) rays as the unique slope-ordered factorization of their
+product (Kontsevich-Soibelman, arXiv:0811.2435): the classes of angle
+above any given one span an ideal, so the factor on the smallest angle
+is read off the product and peeled away, one ray at a time.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -29,7 +34,7 @@ from .errors import (
 from .flow import _first_generic, flow_tree_sum, scalar_context
 from .lattice import (
     AuxLattice,
-    SkewForm,
+    check_skew,
     dot,
     is_positive_dimvec,
     subset_sums,
@@ -213,17 +218,6 @@ def assoc_log_product(alg: GradedLie, crossings) -> dict:
 # rank-2 diagrams
 
 
-def _form_matrix(form) -> tuple:
-    if isinstance(form, SkewForm):
-        form = form.matrix
-    form = tuple(tuple(row) for row in form)
-    if len(form) != 2 or any(len(row) != 2 for row in form):
-        raise InvalidInput("rank-2 reconstruction needs a 2x2 skew matrix")
-    if form[0][0] or form[1][1] or form[0][1] != -form[1][0]:
-        raise InvalidInput("not a skew matrix")
-    return form
-
-
 def _primitive(n):
     g = math.gcd(n[0], n[1])
     return (n[0] // g, n[1] // g), g
@@ -324,16 +318,23 @@ def _loop_rays(form, initial, scattered):
     return [payload for _, _, payload in _sort_ccw(rays)]
 
 
-def reconstruct_rank2(initial: dict, form, degree_bound: int, _shuffle_seed=None) -> Rank2Diagram:
+def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
     """Unique consistent rank-2 diagram with the given initial data.
 
-    Wall elements start as the initial data on both sides and are corrected
-    degree by degree: at each total dimension the log of the loop product
-    around the origin is computed and its defect cancelled on the scattered
-    side of the corresponding class.  A final full-loop check asserts
-    consistency up to the degree bound.
+    Every class is positive, so with s = sgn form[0][1] and the rays'
+    primitive classes p_1, ..., p_k in increasing angle from (1, 0), loop
+    consistency reads exp(s S_1) ... exp(s S_k) = exp(s A_k) ... exp(s A_1)
+    for the attractor elements A_i and the scattered elements S_i.  The
+    right side is built once.  The classes of angle above any given one
+    span an ideal, so the part of that product on the smallest angle
+    present is exp(s S_1); it is peeled off from the left, and so on
+    until nothing is left.  A final full-loop check asserts consistency
+    up to the degree bound.
     """
-    form = _form_matrix(form)
+    check_skew(form, "form")
+    form = tuple(tuple(row) for row in form)
+    if len(form) != 2:
+        raise InvalidInput("rank-2 reconstruction needs a 2x2 skew matrix")
     if degree_bound < 1:
         raise InvalidInput("degree bound must be >= 1")
     init: dict = {}
@@ -346,47 +347,32 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int, _shuffle_seed=None
         c = _as_ratfunc(c)
         if not c.is_zero():
             init[n] = c
-    scattered = dict(init)
 
     if form[0][1] == 0:
         # Everything commutes; the diagram equals its initial data.
-        return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=scattered)
+        return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=dict(init))
 
-    shuffler = None if _shuffle_seed is None else random.Random(_shuffle_seed)
-    for level in range(1, degree_bound + 1):
-        crossings = _loop_rays(form, init, scattered)
-        if shuffler:
-            cut = shuffler.randrange(len(crossings))
-            crossings = crossings[cut:] + crossings[:cut]
-        defect = assoc_log_product(GradedLie(form=form, degree_bound=level), crossings)
-        for n, c in defect.items():
-            if sum(n) < level:
-                raise ConsistencyFailure(
-                    f"stale defect {n} at level {level}; lower degrees were not closed"
-                )
-        items = [(n, c) for n, c in defect.items() if sum(n) == level]
-        if shuffler:
-            shuffler.shuffle(items)
-        else:
-            items.sort()
-        for n, c in items:
-            p, _ = _primitive(n)
-            d_sct = _attractor_direction(form, p)
-            d_sct = (-d_sct[0], -d_sct[1])
-            eps = _crossing_sign(p, d_sct)
-            correction = lie_scale({n: c}, -eps)
-            prev = scattered.get(n, RatFunc.zero())
-            value = prev + correction[n]
-            if value.is_zero():
-                scattered.pop(n, None)
-            else:
-                scattered[n] = value
+    def angle(n):  # increasing in the angle of a positive class, equal along a ray
+        return Fraction(n[1], sum(n))
 
+    s = 1 if form[0][1] > 0 else -1
     alg = GradedLie(form=form, degree_bound=degree_bound)
+    group = _TorusGroup(alg)
+    target: dict = {}
+    for n in sorted(init, key=angle):
+        target = group.group_mul(group.exp(lie_scale({n: init[n]}, s)), target)
+    scattered: dict = {}
+    while target:
+        ray = min(map(angle, target))
+        part = {n: c for n, c in target.items() if angle(n) == ray}
+        element = lie_scale(group.log(part), s)
+        scattered.update(element)
+        target = group.group_mul(group.exp(lie_scale(element, -s)), target)
+
     final = assoc_log_product(alg, _loop_rays(form, init, scattered))
     if final:
         raise ConsistencyFailure(f"reconstruction left a nonzero loop product: {final}")
-    return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=dict(scattered))
+    return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=scattered)
 
 
 def dt_from_rank2(diag: Rank2Diagram, gamma, theta) -> RatFunc:

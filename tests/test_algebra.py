@@ -11,7 +11,6 @@ from quiverdt.algebra import (
     kappa,
     parse_bilaurent,
     parse_laurent,
-    substitute_power,
 )
 from quiverdt.errors import InvalidInput, NotPolynomial
 from quiverdt.lattice import _rng
@@ -33,12 +32,12 @@ def test_kappa_oddness_and_value_at_one():
 
 def test_substitute_power_examples():
     f = BiLaurent({(1, 0): 1, (-1, 0): 1})
-    assert substitute_power(f, 2) == BiLaurent({(2, 0): 1, (-2, 0): 1})
-    assert substitute_power(f, 1) == f
+    assert f.substitute_power(2) == BiLaurent({(2, 0): 1, (-2, 0): 1})
+    assert f.substitute_power(1) == f
     g = BiLaurent({(0, 1): 1, (1, 0): -1})
-    assert substitute_power(g, 3) == BiLaurent({(0, 3): 1, (3, 0): -1})
+    assert g.substitute_power(3) == BiLaurent({(0, 3): 1, (3, 0): -1})
     with pytest.raises(Exception):
-        substitute_power(f, 0)
+        f.substitute_power(0)
 
 
 def test_ratfunc_add_identity():

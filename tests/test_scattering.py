@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from quiverdt.algebra import RatFunc, kappa
+from quiverdt.algebra import BiLaurent, RatFunc, kappa
 from quiverdt.checks import kronecker_oracle_data, quiver_skew, random_instance
 from quiverdt.errors import ConsistencyFailure, DegreeExceeded, InvalidInput
 from quiverdt.lattice import Quiver, _iter_box, _rng, build_aux
@@ -189,14 +189,29 @@ def test_reconstruct_k2_self_check_and_rays():
     assert path_ordered_product(low, crossings) == {}
 
 
-def test_reconstruct_shuffled_order_identical():
-    quiver = Quiver.kronecker(2)
-    _, initial = kronecker_oracle_data(2, 5)
-    base = reconstruct_rank2(initial, quiver_skew(quiver), 5)
-    for shuffle_seed in (1, 2, 3):
-        other = reconstruct_rank2(initial, quiver_skew(quiver), 5, _shuffle_seed=shuffle_seed)
-        assert set(other.scattered) == set(base.scattered)
-        assert all(other.scattered[n] == base.scattered[n] for n in base.scattered)
+def _swap(elements):
+    return {(b, a): c for (a, b), c in elements.items()}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_reconstruct_negative_form_is_the_relabelled_positive_one(m):
+    # swapping the two vertices turns the form ((0, -m), (m, 0)) into ((0, m), (-m, 0))
+    _, acyclic = kronecker_oracle_data(m, 5)
+    t_term = RatFunc(BiLaurent({(0, 1): 1, (1, 0): -2}))
+    asymmetric = {(1, 0): 1, (0, 1): Fraction(1, 2), (1, 2): t_term}
+    for initial in (acyclic, asymmetric):
+        negative = reconstruct_rank2(initial, ((0, -m), (m, 0)), 5)
+        positive = reconstruct_rank2(_swap(initial), ((0, m), (-m, 0)), 5)
+        assert _swap(negative.scattered) == positive.scattered
+        assert len(positive.scattered) > len(positive.initial)
+
+
+def test_reconstruct_rejects_malformed_forms():
+    not_skew = ((0, 1), (1, 0))
+    three_by_three = ((0, 1, 0), (-1, 0, 2), (0, -2, 0))
+    for form in (not_skew, three_by_three):
+        with pytest.raises(InvalidInput):
+            reconstruct_rank2({(1, 0): 1, (0, 1): 1}, form, 2)
 
 
 def test_dt_from_rank2_read_offs():
