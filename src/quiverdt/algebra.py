@@ -12,6 +12,9 @@ Three value types live here:
 * ``RatFunc``     -- elements of Q(y)[t^±1]: a BiLaurent over a denominator
   in y alone, stored in a canonical form, so equal values have equal
   fields, hashes and renderings and only a univariate gcd is ever needed.
+  The gcd runs in ints, on primitive parts over Z; sums are formed over
+  the lcm of the denominators; negation, multiplication by a unit and
+  ``substitute_power`` keep a canonical pair canonical and skip the gcd.
 
 The canonical text rendering (ascending y-exponent, then ascending
 t-exponent, explicit signs, ``y^-1``-style exponents) is the bit-exact
@@ -20,8 +23,9 @@ output contract of the CLI.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .errors import InvalidInput, NotPolynomial
 
@@ -268,40 +272,75 @@ class BiLaurent:
         return f"BiLaurent({self.render()})"
 
 
-def _divmod_y(a: dict, b: dict):
-    """Quotient and remainder of polynomials in y given as {exp: coeff}, exps >= 0."""
-    db = max(b)
-    lb = Fraction(b[db])
-    quo = {}
-    rem = dict(a)
-    while rem:
-        dr = max(rem)
-        if dr < db:
-            break
-        q = rem[dr] / lb
-        quo[dr - db] = q
-        for e, c in b.items():
-            key = dr - db + e
-            s = rem.get(key, 0) - q * c
-            if s:
-                rem[key] = s
-            elif key in rem:
-                del rem[key]
-    return quo, rem
-
-
-def _gcd_poly_y(a: dict, b: dict) -> dict:
-    """Monic gcd of two nonzero polynomials in y given as {exp: coeff}, exps >= 0."""
-    while b:
-        a, b = b, _divmod_y(a, b)[1]
-    lc = Fraction(a[max(a)])
-    return {e: c / lc for e, c in a.items()}
-
-
-def _shift_down(p: dict):
-    """(lowest exponent, p divided by y^lowest) for a nonzero {exp: coeff}."""
+def _dense(p: dict):
+    """(lowest exponent, coefficient list from there up) of a nonzero {exp: coeff}."""
     lo = min(p)
-    return lo, {e - lo: c for e, c in p.items()}
+    out = [0] * (max(p) - lo + 1)
+    for e, c in p.items():
+        out[e - lo] = c
+    return lo, out
+
+
+def _primitive(p: list):
+    """(content, part) with p = content * part for a nonzero rational coefficient
+    list: part has coprime int entries and a positive last entry."""
+    m = reduce(math.lcm, [c.denominator for c in p])
+    ints = [c.numerator * (m // c.denominator) for c in p]
+    g = reduce(math.gcd, ints)
+    if ints[-1] < 0:
+        g = -g
+    return Fraction(g, m) if m != 1 else g, [c // g for c in ints]
+
+
+def _gcd_int(a: list, b: list) -> list:
+    """Gcd in Z[y] of two primitive coefficient lists, by primitive pseudo-remainders."""
+    while b:
+        r, n, lb = list(a), len(b), b[-1]
+        while len(r) >= n:
+            c, shift = r.pop(), len(r) + 1 - n
+            r = [lb * x for x in r]
+            for i in range(n - 1):
+                r[shift + i] -= c * b[i]
+            while r and not r[-1]:
+                r.pop()
+        a, b = b, (_primitive(r)[1] if r else r)
+    return a
+
+
+def _div_exact(a: list, b: list) -> list:
+    """a / b in Z[y]; b divides a exactly whenever b is a primitive divisor over Q."""
+    a, n, lb = list(a), len(b), b[-1]
+    q = [0] * (len(a) - n + 1)
+    for i in reversed(range(len(q))):
+        c, rem = divmod(a[i + n - 1], lb)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[i] = c
+        for j in range(n):
+            a[i + j] -= c * b[j]
+    if any(a):
+        raise ArithmeticError("inexact polynomial division")
+    return q
+
+
+def _y_list(den: BiLaurent):
+    """_dense of a y-only BiLaurent."""
+    return _dense({ye: c for (ye, _), c in den._terms.items()})
+
+
+def _undense(content, coeffs: list, lo: int = 0, te: int = 0) -> dict:
+    """The {(y-exp, t-exp): coeff} terms of content * y^lo * t^te * coeffs."""
+    return {(e + lo, te): content * c for e, c in enumerate(coeffs) if c}
+
+
+def _cofactors(b: BiLaurent, d: BiLaurent):
+    """(b / g, d / g) for g the gcd over Q[y] of two canonical denominators."""
+    (bc, bp), (dc, dp) = _primitive(_y_list(b)[1]), _primitive(_y_list(d)[1])
+    g = _gcd_int(bp, dp)
+    if len(g) == 1:
+        return b, d
+    return (BiLaurent(_undense(bc, _div_exact(bp, g))),
+            BiLaurent(_undense(dc, _div_exact(dp, g))))
 
 
 class RatFunc:
@@ -313,6 +352,14 @@ class RatFunc:
     irreducible divides the numerator exactly when it divides every
     t-slice, so equal fractions store equal fields; equality and hashing
     compare them directly.  A denominator involving t raises InvalidInput.
+
+    The gcd is taken over Z on primitive parts.  a/b + c/d is built as
+    (a (d/g) + c (b/g)) / ((b/g) d) with g = gcd(b, d), so the gcd that
+    follows works on the lcm, not on b d.  Three operations build the
+    canonical pair directly: negation; multiplication by a unit (a one-term
+    numerator over denominator 1), which scales each t-slice by a monomial;
+    and ``substitute_power``, since a Bezout identity survives y -> y^k and
+    the denominator keeps its constant term 1.
     """
 
     __slots__ = ("num", "den")
@@ -339,22 +386,34 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
+    @staticmethod
+    def _canonical(num: BiLaurent, den: BiLaurent) -> "RatFunc":
+        """Wrap a pair that is already canonical, with no gcd and no scaling."""
+        res = RatFunc.__new__(RatFunc)
+        res.num, res.den = num, den
+        return res
+
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        b, d = self.den, other.den
+        if b == d:
+            return RatFunc(self.num + other.num, b)
+        b_g, d_g = _cofactors(b, d)
+        return RatFunc(self.num * d_g + other.num * b_g, b_g * d)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._canonical(-self.num, self.den)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_as_ratfunc(other))
 
     def __mul__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
+        for unit, f in ((self, other), (other, self)):
+            if len(unit.num._terms) == 1 and unit.den == _ONE:
+                return RatFunc._canonical(f.num * unit.num, f.den)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -369,7 +428,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def substitute_power(self, k: int) -> "RatFunc":
-        return RatFunc(self.num.substitute_power(k), self.den.substitute_power(k))
+        return RatFunc._canonical(self.num.substitute_power(k), self.den.substitute_power(k))
 
     def to_bilaurent(self) -> BiLaurent:
         """Exact polynomial value; raises NotPolynomial when the fraction is not one."""
@@ -421,20 +480,19 @@ def _cancel_gcd(num: BiLaurent, den: BiLaurent):
     slices: dict = {}
     for (ye, te), c in num._terms.items():
         slices.setdefault(te, {})[ye] = c
-    shifted = {te: _shift_down(p) for te, p in slices.items()}
-    den_lo, den_p = _shift_down({ye: c for (ye, _), c in den._terms.items()})
-    g = den_p
-    for _, p in shifted.values():
-        g = _gcd_poly_y(g, p)
+    den_lo, den_p = _y_list(den)
+    den_c, den_p = _primitive(den_p)
+    g, parts = den_p, {}
+    for te, p in slices.items():
+        lo, p = _dense(p)
+        parts[te] = (lo, *_primitive(p))
+        g = _gcd_int(g, parts[te][2])
         if len(g) == 1:
             return num, den
-    quo = {
-        (e + lo, te): c
-        for te, (lo, p) in shifted.items()
-        for e, c in _divmod_y(p, g)[0].items()
-    }
-    den_q = _divmod_y(den_p, g)[0]
-    return BiLaurent(quo), BiLaurent({(e + den_lo, 0): c for e, c in den_q.items()})
+    quo = {}
+    for te, (lo, content, p) in parts.items():
+        quo.update(_undense(content, _div_exact(p, g), lo, te))
+    return BiLaurent(quo), BiLaurent(_undense(den_c, _div_exact(den_p, g), den_lo))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,83 @@
+"""Euclid-over-Fractions reference for the canonical form of ``RatFunc``.
+
+``quiverdt.algebra`` takes its gcds over Z, adds over the lcm of the
+denominators and skips the gcd where the canonical form already holds.
+This module keeps the definition it is checked against: for a product-form
+num / den, Euclid over Q[y] on the denominator and every t-slice of the
+numerator, division by the monic gcd, then scaling so that the
+denominator's lowest term is the constant +1.
+"""
+
+from fractions import Fraction
+
+from quiverdt.algebra import BiLaurent
+
+
+def _divmod_y(a: dict, b: dict):
+    """Quotient and remainder of polynomials in y given as {exp: coeff}, exps >= 0."""
+    db = max(b)
+    lb = Fraction(b[db])
+    quo = {}
+    rem = dict(a)
+    while rem:
+        dr = max(rem)
+        if dr < db:
+            break
+        q = rem[dr] / lb
+        quo[dr - db] = q
+        for e, c in b.items():
+            key = dr - db + e
+            s = rem.get(key, 0) - q * c
+            if s:
+                rem[key] = s
+            elif key in rem:
+                del rem[key]
+    return quo, rem
+
+
+def _gcd_poly_y(a: dict, b: dict) -> dict:
+    """Monic gcd of two nonzero polynomials in y given as {exp: coeff}, exps >= 0."""
+    while b:
+        a, b = b, _divmod_y(a, b)[1]
+    lc = Fraction(a[max(a)])
+    return {e: c / lc for e, c in a.items()}
+
+
+def _shift_down(p: dict):
+    """(lowest exponent, p divided by y^lowest) for a nonzero {exp: coeff}."""
+    lo = min(p)
+    return lo, {e - lo: c for e, c in p.items()}
+
+
+def _cancel_gcd(num: BiLaurent, den: BiLaurent):
+    """Divide num and den by the gcd over Q[y] of den and every t-slice of num."""
+    slices: dict = {}
+    for (ye, te), c in num.terms().items():
+        slices.setdefault(te, {})[ye] = c
+    shifted = {te: _shift_down(p) for te, p in slices.items()}
+    den_lo, den_p = _shift_down({ye: c for (ye, _), c in den.terms().items()})
+    g = den_p
+    for _, p in shifted.values():
+        g = _gcd_poly_y(g, p)
+        if len(g) == 1:
+            return num, den
+    quo = {
+        (e + lo, te): c
+        for te, (lo, p) in shifted.items()
+        for e, c in _divmod_y(p, g)[0].items()
+    }
+    den_q = _divmod_y(den_p, g)[0]
+    return BiLaurent(quo), BiLaurent({(e + den_lo, 0): c for e, c in den_q.items()})
+
+
+def canonical_pair(num: BiLaurent, den: BiLaurent):
+    """The canonical (num, den) of num / den, for a nonzero y-only den."""
+    if num.is_zero():
+        return num, BiLaurent.const(1)
+    if len(den.terms()) > 1:
+        num, den = _cancel_gcd(num, den)
+    (ye, _), c = den.smallest_term()
+    if ye or c != 1:
+        scale = BiLaurent.monomial(-ye, 0, Fraction(1) / c)
+        num, den = num * scale, den * scale
+    return num, den

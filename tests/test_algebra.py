@@ -1,13 +1,18 @@
 """Exact arithmetic: kappa, Laurent polynomials, rational functions."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from algebra_reference import canonical_pair
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverdt.algebra import (
     BiLaurent,
     LaurentPoly,
     RatFunc,
+    _div_exact,
     kappa,
     parse_bilaurent,
     parse_laurent,
@@ -172,3 +177,92 @@ def test_exact_division_and_not_polynomial():
         f.to_bilaurent()
     g = RatFunc(BiLaurent({(2, 0): 1, (0, 0): 1}), BiLaurent({(1, 0): 1}))
     assert g.to_bilaurent() == BiLaurent({(1, 0): 1, (-1, 0): 1})
+
+
+_ONE = BiLaurent.const(1)
+_Y = BiLaurent.monomial(1, 0)
+_T = BiLaurent.monomial(0, 1)
+# 1 + y, y - y^-1, y^2 + y + 1, 2y - 3, y/2 + 1
+_FACTORS = [
+    BiLaurent({(0, 0): 1, (1, 0): 1}),
+    BiLaurent({(1, 0): 1, (-1, 0): -1}),
+    BiLaurent({(0, 0): 1, (1, 0): 1, (2, 0): 1}),
+    BiLaurent({(1, 0): 2, (0, 0): -3}),
+    BiLaurent({(1, 0): Fraction(1, 2), (0, 0): 1}),
+]
+_product = st.lists(st.sampled_from(_FACTORS), max_size=3).map(
+    lambda fs: reduce(BiLaurent.__mul__, fs, _ONE)
+)
+_coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_numerator = st.dictionaries(
+    st.tuples(st.integers(-3, 3), st.integers(-2, 2)), _coefficients, max_size=4
+).map(BiLaurent)
+# (num, den) in product form: the numerator shares some factors with den
+_pair = st.tuples(_numerator, _product, _product).map(lambda p: (p[0] * p[1], p[2]))
+_unit = st.builds(
+    BiLaurent.monomial, st.integers(-3, 3), st.integers(-2, 2), _coefficients.filter(bool)
+)
+
+
+def _render_pair(num, den):
+    return num.render() if den == _ONE else f"({num.render()}) / ({den.render()})"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(a=_pair, b=_pair, unit=_unit, k=st.integers(1, 3))
+def test_ratfunc_ops_match_the_euclid_reference(a, b, unit, k):
+    (an, ad), (bn, bd) = a, b
+    fa, fb, u = RatFunc(an, ad), RatFunc(bn, bd), RatFunc(unit)
+    cases = [
+        (fa, (an, ad)),
+        (fa + fb, (an * bd + bn * ad, ad * bd)),
+        (fa - fb, (an * bd - bn * ad, ad * bd)),
+        (fa * fb, (an * bn, ad * bd)),
+        (-fa, (-an, ad)),
+        (fa.substitute_power(k), (an.substitute_power(k), ad.substitute_power(k))),
+        (u * fa, (unit * an, ad)),
+        (fa * u, (an * unit, ad)),
+    ]
+    for got, (num, den) in cases:
+        num, den = canonical_pair(num, den)
+        assert got.num == num and got.den == den
+        assert got.render() == _render_pair(num, den)
+
+
+def test_ratfunc_times_zero_has_denominator_one():
+    f = RatFunc(_Y, _ONE + _Y)
+    for zero in (f * 0, 0 * f, f * RatFunc.zero(), RatFunc.zero() * f):
+        assert zero.num.is_zero() and zero.den == _ONE and zero.render() == "0"
+
+
+def test_ratfunc_times_a_unit_on_either_side():
+    f = RatFunc(_ONE + _Y * _T, _ONE + _Y * 2)
+    u = RatFunc(BiLaurent.monomial(-2, 1, Fraction(-3, 2)))
+    expected = "(-3/2*y^-2*t - 3/2*y^-1*t^2) / (1 + 2*y)"
+    assert (u * f).render() == expected and (f * u).render() == expected
+    # a one-term numerator over a nontrivial denominator is not a unit
+    g, h = RatFunc(_ONE + _Y), RatFunc(1, _ONE + _Y)
+    assert (g * h).render() == "1" and (h * g).render() == "1"
+
+
+def test_ratfunc_add_over_coprime_and_shared_denominators():
+    assert (RatFunc(1, _ONE + _Y) + RatFunc(1, _ONE - _Y)).render() == "(2) / (1 - y^2)"
+    shared = RatFunc(1, _ONE + _Y) - RatFunc(_Y, (_ONE + _Y) * (_ONE + _Y * 2))
+    assert shared.render() == "(1) / (1 + 2*y)"
+
+
+def test_ratfunc_gcd_with_fraction_coefficients_and_a_constant_slice():
+    half = _ONE + _Y * Fraction(1, 2)
+    f = RatFunc(half * _T, half * (_ONE - _Y * Fraction(1, 3)))
+    assert f.render() == "(t) / (1 - 1/3*y)"
+    # the t-slice 5 is constant, so the gcd is 1 once it is read
+    g = RatFunc((_ONE + _Y) * 2 + _T * 10, (_ONE + _Y) * 2)
+    assert g.render() == "(1 + 5*t + y) / (1 + y)"
+
+
+def test_exact_division_rejects_a_remainder():
+    assert _div_exact([1, 2, 1], [1, 1]) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        _div_exact([1, 0, 1], [1, 1])
+    with pytest.raises(ArithmeticError):
+        _div_exact([3, 3], [2, 2])
