@@ -42,11 +42,11 @@ def random_instance(r: int, seed: int, max_entry: int = 4) -> AuxLattice:
         eta = [[0] * r for _ in range(r)]
         for i in range(r):
             for j in range(i + 1, r):
-                x = int(rng.integers(-max_entry, max_entry + 1))
+                x = rng.integers(-max_entry, max_entry + 1)
                 eta[i][j] = x
                 eta[j][i] = -x
         eta = tuple(tuple(row) for row in eta)
-        alpha = [Fraction(int(rng.integers(-9, 10))) for _ in range(r - 1)]
+        alpha = [Fraction(rng.integers(-9, 10)) for _ in range(r - 1)]
         alpha.append(-sum(alpha))
         alpha = tuple(alpha)
         if alpha_is_generic(eta, alpha):
@@ -95,14 +95,14 @@ def random_integer_table(seed: int, max_gamma=(4, 4), entries: int = 4) -> dict:
     rng = _rng(seed, "table")
     table = {}
     for _ in range(entries):
-        gamma = tuple(int(rng.integers(0, c + 1)) for c in max_gamma)
+        gamma = tuple(rng.integers(0, c + 1) for c in max_gamma)
         if not any(gamma):
             gamma = (1,) + tuple(0 for _ in max_gamma[1:])
         terms = {}
-        for _ in range(int(rng.integers(1, 4))):
-            ye = int(rng.integers(-3, 4))
-            te = int(rng.integers(-2, 3))
-            coeff = int(rng.integers(-5, 6))
+        for _ in range(rng.integers(1, 4)):
+            ye = rng.integers(-3, 4)
+            te = rng.integers(-2, 3)
+            coeff = rng.integers(-5, 6)
             if coeff:
                 terms[(ye, te)] = terms.get((ye, te), 0) + coeff
         poly = BiLaurent(terms)

@@ -14,7 +14,8 @@ masks A, B as subset sums of the row e_A^T M over the complement of A
 
 The perturbation draws here are dyadic rationals with denominator
 PERTURBATION_DENOM * 2^k, drawn as integer numerators so that their sign
-tests are integer comparisons.  ``AuxLattice`` requires an integral eta,
+tests are integer comparisons; ``Philox`` draws them, numpy's Philox
+``integers`` stream in pure Python.  ``AuxLattice`` requires an integral eta,
 which fixes the shrink exponent of the omega draws in closed form (8 for
 r <= 27, see ``omega_draws``); ``flow`` certifies a draw by evaluating the
 flow tree formula on it and moves to the next one on failure.
@@ -25,8 +26,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import InvalidInput, NotGenericAlpha, NotOnWall
 
@@ -236,16 +235,86 @@ def alpha_is_generic(eta, alpha) -> bool:
 # seeded exact perturbation sampling
 
 
-def _rng(seed: int, *labels) -> np.random.Generator:
-    """Counter-based splittable generator keyed by (seed, labels)."""
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+class Philox:
+    """Philox4x64-10 and numpy's bounded-integer path, in Python ints.
+
+    ``Philox(key).integers(low, high)`` returns what numpy's
+    ``Generator(Philox(key=key)).integers(low, high)`` returns, call for
+    call.  The key is two little-endian 64-bit words; the 256-bit counter
+    starts at 0 and is bumped before each four-word block.  A 32-bit draw takes the low half
+    of a word and keeps the high half for the next 32-bit draw; 64-bit
+    draws in between leave it kept.
+    """
+
+    def __init__(self, key: int):
+        self._key = (key & _MASK64, key >> 64 & _MASK64)
+        self._counter = 0
+        self._block = []  # unread words of the current block, last word first
+        self._half = None  # high half kept by the last 32-bit draw
+
+    def _next64(self) -> int:
+        if not self._block:
+            self._counter += 1
+            x0, x1, x2, x3 = (self._counter >> s & _MASK64 for s in (0, 64, 128, 192))
+            k0, k1 = self._key
+            for _ in range(10):
+                p0, p1 = 0xD2E7470EE14C6C93 * x0, 0xCA5A826395121157 * x2
+                x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ x3 ^ k1, p0 & _MASK64
+                k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+            self._block = [x3, x2, x1, x0]
+        return self._block.pop()
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def integers(self, low: int, high: int) -> int:
+        """Uniform integer in [low, high), both within int64."""
+        if not -(1 << 63) <= low < high <= 1 << 63:
+            raise ValueError(f"integers({low}, {high}): need -2^63 <= low < high <= 2^63")
+        rng = high - 1 - low
+        if rng == 0:
+            return low
+        if rng < _MASK32:
+            return low + _lemire(self._next32, 32, rng)
+        if rng == _MASK32:
+            return low + self._next32()
+        if rng < _MASK64:
+            return low + _lemire(self._next64, 64, rng)
+        return low + self._next64()
+
+
+def _lemire(next_word, bits: int, rng: int) -> int:
+    """Lemire's unbiased draw in [0, rng] from ``bits``-bit words, rng < 2^bits - 1.
+
+    It is x (rng + 1) >> bits for the first word x whose x (rng + 1) mod
+    2^bits is not below the threshold (2^bits - 1 - rng) mod (rng + 1).
+    """
+    excl, mask = rng + 1, (1 << bits) - 1
+    threshold = (mask - rng) % excl
+    m = next_word() * excl
+    while m & mask < threshold:
+        m = next_word() * excl
+    return m >> bits
+
+
+def _rng(seed: int, *labels) -> Philox:
+    """Philox generator keyed by a blake2b tag of (seed, labels): numpy's stream."""
     tag = b"|".join([str(seed).encode()] + [str(x).encode() for x in labels])
     key = int.from_bytes(hashlib.blake2b(tag, digest_size=16).digest(), "big")
-    return np.random.Generator(np.random.Philox(key=key))
+    return Philox(key)
 
 
 def _random_numerator(rng) -> int:
     """Numerator of a dyadic draw in [-1, 1] over PERTURBATION_DENOM."""
-    return int(rng.integers(-PERTURBATION_DENOM, PERTURBATION_DENOM + 1))
+    return rng.integers(-PERTURBATION_DENOM, PERTURBATION_DENOM + 1)
 
 
 def _random_skew(rng, r: int):

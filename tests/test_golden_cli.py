@@ -4,13 +4,18 @@
 of every command line of the case, in order.  A case runs in a fresh
 directory that holds the quiver files and an empty cache directory, once
 as written and once with ``--jobs 4``; both runs must reproduce the
-recorded bytes.  A difference is a change of the CLI contract.  Record
+recorded bytes.  Two cases also run as ``python -m quiverdt`` in a child
+that cannot import numpy: the program has no runtime dependency, and its
+draws must not need one.  A difference is a change of the CLI contract.  Record
 the file anew (only for an intended change) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -42,13 +47,19 @@ CASES = {
 }
 
 
-def run_case(name, directory: Path, extra, capture):
-    """(exit code, stdout) of each command line of the case, run in directory."""
+def write_files(directory: Path) -> dict:
+    """Write the quiver files into directory; their paths and the cache path by key."""
     paths = {"cache": str(directory / "cache")}
     for key, text in FILES.items():
         path = directory / f"{key}.quiver"
         path.write_text(text)
         paths[key] = str(path)
+    return paths
+
+
+def run_case(name, directory: Path, extra, capture):
+    """(exit code, stdout) of each command line of the case, run in directory."""
+    paths = write_files(directory)
     runs = []
     for argv in CASES[name]:
         code = main(extra + [arg.format(**paths) for arg in argv])
@@ -61,6 +72,35 @@ def run_case(name, directory: Path, extra, capture):
 def test_golden_cli_bytes(name, extra, tmp_path, capsys):
     expected = json.loads(GOLDEN.read_text())[name]
     assert run_case(name, tmp_path, extra, lambda: capsys.readouterr().out) == expected
+
+
+def _run_child(code: str, *args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, env=env, timeout=120)
+
+
+WITHOUT_NUMPY = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "runpy.run_module('quiverdt', run_name='__main__')\n"
+)
+
+
+@pytest.mark.parametrize("name", ["check_perturbation", "f_q3_r5"])
+def test_golden_cli_bytes_without_numpy(name, tmp_path):
+    expected = [[code, out.encode()] for code, out in json.loads(GOLDEN.read_text())[name]]
+    paths = write_files(tmp_path)
+    runs = []
+    for argv in CASES[name]:
+        done = _run_child(WITHOUT_NUMPY, *[arg.format(**paths) for arg in argv])
+        runs.append([done.returncode, done.stdout])
+    assert runs == expected, done.stderr
+
+
+def test_cli_import_loads_no_numpy():
+    done = _run_child("import sys, quiverdt.cli\nprint('numpy' in sys.modules)\n")
+    assert done.returncode == 0 and done.stdout == b"False\n", done.stderr
 
 
 if __name__ == "__main__":
