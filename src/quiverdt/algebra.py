@@ -8,7 +8,9 @@ tested in this package are exact, never approximate.
 Three value types live here:
 
 * ``LaurentPoly`` -- elements of Q[y, y^-1], the value type of kappa.
-* ``BiLaurent``   -- elements of Q[y^±1, t^±1].
+* ``BiLaurent``   -- elements of Q[y^±1, t^±1].  Both polynomial types
+  share one sparse core (``_Laurent``) and differ in their exponent type
+  (int or (y, t) pair) and their product loop.
 * ``RatFunc``     -- elements of Q(y)[t^±1]: a BiLaurent over a denominator
   in y alone, stored in a canonical form, so equal values have equal
   fields, hashes and renderings and only a univariate gcd is ever needed.
@@ -36,31 +38,43 @@ def _coeff(value) -> Fraction | int:
     raise TypeError(f"not an exact coefficient: {value!r}")
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial in y with rational coefficients."""
+class _Laurent:
+    """Sparse {exponent: nonzero coefficient} arithmetic shared by both polynomial types.
+
+    A subclass fixes the exponent type through ``_exp`` (the normalizer
+    applied on construction) and ``_ZERO`` (the exponent of a constant),
+    names its variables in ``_VARS`` and writes its own product loop.  A
+    binary operation takes an int, a Fraction or a value of the same class;
+    any other operand gets NotImplemented, so mixed types either reach the
+    other operand's reflected method (RatFunc's) or raise TypeError.
+    """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         data = {}
         if terms:
-            for exp, c in terms.items():
+            exp = self._exp
+            for e, c in terms.items():
                 c = _coeff(c)
                 if c:
-                    data[int(exp)] = c
+                    data[exp(e)] = c
         self._terms = data
 
-    @staticmethod
-    def zero() -> "LaurentPoly":
-        return LaurentPoly()
+    @classmethod
+    def _of(cls, terms: dict):
+        """Wrap a dict whose exponents are normalized and whose coefficients are nonzero."""
+        res = cls.__new__(cls)
+        res._terms = terms
+        return res
 
-    @staticmethod
-    def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: c})
+    @classmethod
+    def zero(cls):
+        return cls()
 
-    @staticmethod
-    def monomial(exp: int, c=1) -> "LaurentPoly":
-        return LaurentPoly({exp: c})
+    @classmethod
+    def const(cls, c):
+        return cls({cls._ZERO: c})
 
     def terms(self) -> dict:
         return dict(self._terms)
@@ -73,17 +87,19 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        if not isinstance(other, LaurentPoly):
+            other = self.const(other)
+        elif type(other) is not type(self):
             return NotImplemented
         return self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self._terms.items())))
 
-    def __add__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
+    def __add__(self, other):
+        if type(other) is not type(self):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = self.const(other)
         out = dict(self._terms)
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
@@ -91,25 +107,44 @@ class LaurentPoly:
                 out[e] = s
             elif e in out:
                 del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        return self._of(out)
 
-    def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
+    def __neg__(self):
+        return self._of({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other) -> "LaurentPoly":
-        return self + (-other if isinstance(other, LaurentPoly) else LaurentPoly.const(-other))
+    def __sub__(self, other):
+        if type(other) is not type(self) and not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self + (-other)
+
+    def _scale(self, c):
+        """The scalar product, which each subclass's __mul__ hands non-polynomial operands."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        return self._of({e: x * c for e, x in self._terms.items()} if c else {})
+
+    __rmul__ = _scale
+
+    def render(self) -> str:
+        return _render(self._terms, self._VARS)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
+
+
+class LaurentPoly(_Laurent):
+    """Sparse Laurent polynomial in y with rational coefficients."""
+
+    __slots__ = ()
+    _exp, _ZERO, _VARS = int, 0, ("y",)
+
+    @staticmethod
+    def monomial(exp: int, c=1) -> "LaurentPoly":
+        return LaurentPoly({exp: c})
 
     def __mul__(self, other) -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return LaurentPoly()
-            res = LaurentPoly.__new__(LaurentPoly)
-            res._terms = {e: c * other for e, c in self._terms.items()}
-            return res
+        if type(other) is not LaurentPoly:
+            return self._scale(other)
         out = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -119,11 +154,7 @@ class LaurentPoly:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
-
-    __rmul__ = __mul__
+        return LaurentPoly._of(out)
 
     def eval_at_one(self):
         """Value at y = 1 (the sum of all coefficients)."""
@@ -134,12 +165,6 @@ class LaurentPoly:
 
     def to_bilaurent(self) -> "BiLaurent":
         return BiLaurent({(e, 0): c for e, c in self._terms.items()})
-
-    def render(self) -> str:
-        return _render({(e,): c for e, c in self._terms.items()}, ("y",))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.render()})"
 
 
 @lru_cache(maxsize=None)
@@ -157,82 +182,24 @@ def kappa(x: int) -> LaurentPoly:
     return LaurentPoly({n - 1 - 2 * j: sign for j in range(n)})
 
 
-class BiLaurent:
+class BiLaurent(_Laurent):
     """Sparse Laurent polynomial in (y, t) with rational coefficients."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        data = {}
-        if terms:
-            for (ye, te), c in terms.items():
-                c = _coeff(c)
-                if c:
-                    data[(int(ye), int(te))] = c
-        self._terms = data
+    __slots__ = ()
+    _ZERO, _VARS = (0, 0), ("y", "t")
 
     @staticmethod
-    def zero() -> "BiLaurent":
-        return BiLaurent()
-
-    @staticmethod
-    def const(c) -> "BiLaurent":
-        return BiLaurent({(0, 0): c})
+    def _exp(e) -> tuple:
+        ye, te = e
+        return int(ye), int(te)
 
     @staticmethod
     def monomial(ye: int, te: int, c=1) -> "BiLaurent":
         return BiLaurent({(ye, te): c})
 
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = BiLaurent.const(other)
-        if not isinstance(other, BiLaurent):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self._terms.items())))
-
-    def __add__(self, other) -> "BiLaurent":
-        if isinstance(other, (int, Fraction)):
-            other = BiLaurent.const(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        res = BiLaurent.__new__(BiLaurent)
-        res._terms = out
-        return res
-
-    def __neg__(self) -> "BiLaurent":
-        res = BiLaurent.__new__(BiLaurent)
-        res._terms = {e: -c for e, c in self._terms.items()}
-        return res
-
-    def __sub__(self, other) -> "BiLaurent":
-        if isinstance(other, (int, Fraction)):
-            other = BiLaurent.const(other)
-        return self + (-other)
-
     def __mul__(self, other) -> "BiLaurent":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return BiLaurent()
-            res = BiLaurent.__new__(BiLaurent)
-            res._terms = {e: c * other for e, c in self._terms.items()}
-            return res
+        if type(other) is not BiLaurent:
+            return self._scale(other)
         out = {}
         for (y1, t1), c1 in self._terms.items():
             for (y2, t2), c2 in other._terms.items():
@@ -242,11 +209,7 @@ class BiLaurent:
                     out[e] = s
                 elif e in out:
                     del out[e]
-        res = BiLaurent.__new__(BiLaurent)
-        res._terms = out
-        return res
-
-    __rmul__ = __mul__
+        return BiLaurent._of(out)
 
     def substitute_power(self, k: int) -> "BiLaurent":
         """Map every exponent pair (a, b) to (k a, k b): f(y, t) -> f(y^k, t^k)."""
@@ -254,9 +217,7 @@ class BiLaurent:
             raise InvalidInput(f"substitution power must be >= 1, got {k}")
         if k == 1:
             return self
-        res = BiLaurent.__new__(BiLaurent)
-        res._terms = {(k * ye, k * te): c for (ye, te), c in self._terms.items()}
-        return res
+        return BiLaurent._of({(k * ye, k * te): c for (ye, te), c in self._terms.items()})
 
     def smallest_term(self):
         """Lexicographically smallest (y-exp, t-exp) term as ((ye, te), coeff)."""
@@ -264,12 +225,6 @@ class BiLaurent:
             raise ValueError("zero polynomial has no terms")
         e = min(self._terms)
         return e, self._terms[e]
-
-    def render(self) -> str:
-        return _render(self._terms, ("y", "t"))
-
-    def __repr__(self) -> str:
-        return f"BiLaurent({self.render()})"
 
 
 def _dense(p: dict):
@@ -514,7 +469,7 @@ def _render(terms: dict, variables: tuple) -> str:
         c = terms[exps]
         mono = "*".join(
             v if e == 1 else f"{v}^{e}"
-            for v, e in zip(variables, exps)
+            for v, e in zip(variables, exps if type(exps) is tuple else (exps,))
             if e != 0
         )
         mag = abs(Fraction(c))

@@ -20,7 +20,7 @@ from .dt import (
 from .errors import ConsistencyFailure, GenericityError
 from .flow import flow_tree_scalar
 from .lattice import AuxLattice, Quiver, _rng, alpha_is_generic, euler_skew, is_gamma_generic
-from .scattering import check_joint_consistency, dt_from_rank2, reconstruct_rank2
+from .scattering import _attractor_direction, check_joint_consistency, dt_from_rank2, reconstruct_rank2
 
 
 @dataclass
@@ -181,11 +181,7 @@ def quiver_skew(q: Quiver):
 
 def _chamber_representatives(q: Quiver, gamma):
     """One gamma-generic theta per chamber of the wall of gamma."""
-    form = quiver_skew(q)
-    att = (
-        gamma[0] * form[0][0] + gamma[1] * form[1][0],
-        gamma[0] * form[0][1] + gamma[1] * form[1][1],
-    )
+    att = _attractor_direction(quiver_skew(q), gamma)
     if att == (0, 0):
         # Degenerate pairing: a single chamber; pick any covector on the wall.
         theta = (Fraction(gamma[1]), Fraction(-gamma[0]))

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import BiLaurent, LaurentPoly, RatFunc, parse_laurent
-from .errors import InvalidInput, NotGenericTheta, NotOnWall
+from .algebra import BiLaurent, LaurentPoly, RatFunc, parse_bilaurent, parse_laurent
+from .errors import InvalidInput, NotGenericTheta, NotOnWall, NotPolynomial
 from .flow import flow_tree_scalar
 from .lattice import (
     AuxLattice,
@@ -34,6 +34,7 @@ from .lattice import (
     dot,
     is_gamma_generic,
     is_positive_dimvec,
+    parse_dimvec,
     subset_sums,
 )
 
@@ -101,9 +102,6 @@ class AttractorTable:
 
         A line 'default acyclic' switches on the unit-vector default.
         """
-        from .algebra import parse_bilaurent
-        from .lattice import parse_dimvec
-
         entries = {}
         acyclic = False
         for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -155,8 +153,6 @@ def integer_from_rational(table: dict) -> dict:
     multicover sum it claims to be cannot be reproduced) or the inversion
     leaves a nontrivial denominator.
     """
-    from .errors import NotPolynomial
-
     table = {tuple(g): v for g, v in table.items()}
     for gamma in table:
         for k, base in _divisors_of_vector(gamma):

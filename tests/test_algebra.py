@@ -1,5 +1,6 @@
 """Exact arithmetic: kappa, Laurent polynomials, rational functions."""
 
+import operator
 from fractions import Fraction
 from functools import reduce
 
@@ -93,6 +94,65 @@ def _random_laurent(rng):
     return LaurentPoly(
         {int(rng.integers(-4, 5)): int(rng.integers(-5, 6)) for _ in range(int(rng.integers(1, 5)))}
     )
+
+
+def _random_y_poly(rng):
+    """A y-only polynomial, possibly zero, with int and Fraction coefficients."""
+    terms = {}
+    for _ in range(int(rng.integers(0, 5))):
+        c = Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 4)))
+        terms[int(rng.integers(-4, 5))] = c if c.denominator > 1 else int(c)
+    return LaurentPoly(terms)
+
+
+def test_laurent_ops_match_their_bilaurent_images():
+    rng = _rng(15, "laurent-bilaurent")
+    scalars = [0, 2, -1, Fraction(0), Fraction(-2, 3)]
+    for _ in range(60):
+        a, b = _random_y_poly(rng), _random_y_poly(rng)
+        ab, bb = a.to_bilaurent(), b.to_bilaurent()
+        cases = [(a + b, ab + bb), (a - b, ab - bb), (a * b, ab * bb), (-a, -ab)]
+        # the cross terms of (a + b)(a - b) cancel, so the product drops zero coefficients
+        cases += [((a + b) * (a - b), (ab + bb) * (ab - bb))]
+        cases += [(a * c, ab * c) for c in scalars] + [(c * a, c * ab) for c in scalars]
+        for got, want in cases:
+            assert type(got) is LaurentPoly and type(want) is BiLaurent
+            assert got.to_bilaurent() == want and got.render() == want.render()
+            assert got.terms() == {ye: c for (ye, _), c in want.terms().items()}
+        same = a + b - b
+        for x in (b, same, *scalars):
+            xb = x.to_bilaurent() if isinstance(x, LaurentPoly) else x
+            assert (a == x) == (ab == xb)
+        assert hash(same) == hash(a) and hash(same.to_bilaurent()) == hash(ab)
+
+
+_L1, _B1, _R1 = LaurentPoly.const(1), BiLaurent.const(1), RatFunc(1)
+
+
+@pytest.mark.parametrize(
+    "left, op, right, expected",
+    [
+        (_L1, operator.add, _R1, RatFunc(2)),
+        (_L1, operator.mul, _R1, RatFunc(1)),
+        (_R1, operator.add, _L1, RatFunc(2)),
+        (_B1, operator.add, _R1, RatFunc(2)),
+        (_B1, operator.mul, _R1, RatFunc(1)),
+        (_L1, operator.add, _B1, TypeError),
+        (_B1, operator.add, _L1, TypeError),
+        (_L1, operator.mul, _B1, TypeError),
+        (_B1, operator.mul, _L1, TypeError),
+        (_L1, operator.mul, 1.5, TypeError),
+        (1.5, operator.mul, _B1, TypeError),
+    ],
+    ids=["L+R", "L*R", "R+L", "B+R", "B*R", "L+B", "B+L", "L*B", "B*L", "L*float", "float*B"],
+)
+def test_mixed_type_arithmetic(left, op, right, expected):
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            op(left, right)
+    else:
+        got = op(left, right)
+        assert type(got) is RatFunc and got == expected
 
 
 def _random_ratfunc(rng):
