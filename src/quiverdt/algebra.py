@@ -109,6 +109,8 @@ class _Laurent:
                 del out[e]
         return self._of(out)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return self._of({e: -c for e, c in self._terms.items()})
 
@@ -116,6 +118,9 @@ class _Laurent:
         if type(other) is not type(self) and not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def _scale(self, c):
         """The scalar product, which each subclass's __mul__ hands non-polynomial operands."""
@@ -164,7 +169,7 @@ class LaurentPoly(_Laurent):
         return all(Fraction(c).denominator == 1 for c in self._terms.values())
 
     def to_bilaurent(self) -> "BiLaurent":
-        return BiLaurent({(e, 0): c for e, c in self._terms.items()})
+        return BiLaurent._of({(e, 0): c for e, c in self._terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -364,6 +369,9 @@ class RatFunc:
     def __sub__(self, other) -> "RatFunc":
         return self + (-_as_ratfunc(other))
 
+    def __rsub__(self, other) -> "RatFunc":
+        return -self + other
+
     def __mul__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
         for unit, f in ((self, other), (other, self)):
@@ -501,7 +509,7 @@ def parse_bilaurent(text: str) -> BiLaurent:
             terms[key] = s
         elif key in terms:
             del terms[key]
-    return BiLaurent(terms)
+    return BiLaurent({k: c.numerator if c.denominator == 1 else c for k, c in terms.items()})
 
 
 def parse_laurent(text: str) -> LaurentPoly:

@@ -3,7 +3,15 @@
 The assembly sums over multisets of classes: each decomposition of gamma
 contributes its universal flow-tree coefficient times the product of the
 rational attractor values of its parts, divided by the order of the
-multiset's symmetry group.  Multicover conversion between integer-level
+multiset's symmetry group.  Theta is pulled back once per call
+(``lattice.Pullback``): as integer numerators over one denominator c, so
+each alpha_i is an int dot product, a Fraction only when c != 1, and the
+Euler column M gamma_p of each part p is formed once.  The sum runs per
+weight denominator: a decomposition D weighs w(D) = prod_p Omega_bar(p) /
+|Aut D|, a canonical RatFunc, and the numerators F(D) num(w(D)) of all D
+with one den(w(D)) are added as polynomials; only those few sums are
+normalized.  Canonical forms are unique, so the result has the same fields
+as the term-by-term sum.  Multicover conversion between integer-level
 and rational invariants runs in both directions; the inverse direction
 asserts integrality.
 
@@ -23,15 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import BiLaurent, LaurentPoly, RatFunc, parse_bilaurent, parse_laurent
+from .algebra import BiLaurent, LaurentPoly, RatFunc, kappa, parse_bilaurent, parse_laurent
 from .errors import InvalidInput, NotGenericTheta, NotOnWall, NotPolynomial
 from .flow import flow_tree_scalar
 from .lattice import (
     AuxLattice,
+    Pullback,
     Quiver,
     _iter_box,
-    build_aux,
-    dot,
     is_gamma_generic,
     is_positive_dimvec,
     parse_dimvec,
@@ -40,10 +47,10 @@ from .lattice import (
 
 
 def qbracket(k: int) -> LaurentPoly:
-    """[k]_y = y^{k-1} + y^{k-3} + ... + y^{1-k}."""
+    """[k]_y = y^{k-1} + y^{k-3} + ... + y^{1-k} = (-1)^k kappa(k)."""
     if k < 1:
         raise InvalidInput("qbracket needs k >= 1")
-    return LaurentPoly({k - 1 - 2 * j: 1 for j in range(k)})
+    return (-1) ** k * kappa(k)
 
 
 def _multicover_factor(k: int) -> RatFunc:
@@ -320,23 +327,25 @@ def assemble_dt(
         raise InvalidInput(f"not a positive dimension vector: {gamma}")
     if len(theta) != q.vertex_count or len(gamma) != q.vertex_count:
         raise InvalidInput("gamma/theta length does not match the quiver")
-    if dot(theta, gamma) != 0:
-        raise NotOnWall(f"theta(gamma) = {dot(theta, gamma)} != 0")
-    if not is_gamma_generic(theta, gamma):
+    pullback = Pullback(q, theta)
+    if pullback.theta_of(gamma) != 0:
+        raise NotOnWall(f"theta(gamma) = {pullback.theta_of(gamma)} != 0")
+    if not is_gamma_generic(pullback.numerators, gamma):
         raise NotGenericTheta(f"theta = {theta} is not generic for gamma = {gamma}")
 
     allowed_parts = [p for p in _iter_box(gamma) if not table.rational_value(p).is_zero()]
-    total = RatFunc.zero()
+    numerators: dict = {}  # weight denominator -> sum of F(D) * weight numerator
     for decomp in enumerate_decompositions(gamma, parts=allowed_parts):
-        aux = build_aux(q, decomp.parts, theta)
+        aux = pullback.aux(decomp.parts)
         coeff = universal_coefficient(aux, mode=mode, seed=seed, budget=budget, cache=cache)
         if coeff.is_zero():
             continue
-        term = RatFunc(coeff) * Fraction(1, decomp.aut_order)
+        weight = RatFunc(1, decomp.aut_order)
         for part in decomp.parts:
-            term = term * table.rational_value(part)
-        total = total + term
-    return total
+            weight = weight * table.rational_value(part)
+        term = coeff.to_bilaurent() * weight.num
+        numerators[weight.den] = numerators.get(weight.den, BiLaurent.zero()) + term
+    return sum((RatFunc(num, den) for den, num in numerators.items()), RatFunc.zero())
 
 
 def assemble_divisors(

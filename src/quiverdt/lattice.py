@@ -24,6 +24,7 @@ flow tree formula on it and moves to the next one on failure.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,23 +200,54 @@ class AuxLattice:
         return len(self.gammas)
 
 
+class Pullback:
+    """The Euler form and one stability point, pulled back along e_i -> gamma_i.
+
+    theta is held as integer numerators over one denominator c, so
+    alpha_i = theta(gamma_i) is an int dot product, divided by c only when
+    c != 1: it equals the Fraction dot product.  The column M gamma and
+    the alpha of a class are formed once, however many decompositions use it.
+    """
+
+    def __init__(self, q: Quiver, theta):
+        theta = tuple(Fraction(x) for x in theta)
+        if len(theta) != q.vertex_count:
+            raise InvalidInput("stability parameter has wrong length")
+        self.denominator = math.lcm(*(t.denominator for t in theta))
+        self.numerators = tuple(int(t * self.denominator) for t in theta)
+        self.matrix = euler_skew(q).matrix
+        self._classes: dict = {}
+
+    def _class(self, g):
+        data = self._classes.get(g)
+        if data is None:
+            a, c = dot(self.numerators, g), self.denominator
+            data = self._classes[g] = (tuple(dot(row, g) for row in self.matrix),
+                                       a if c == 1 else Fraction(a, c))
+        return data
+
+    def theta_of(self, g):
+        """theta(g), an int when it is integral."""
+        return self._class(g)[1]
+
+    def aux(self, gammas) -> AuxLattice:
+        """The auxiliary lattice of classes gamma_i summing to a class on the wall."""
+        data = [self._class(g) for g in gammas]
+        eta = tuple(tuple(dot(gi, column) for column, _ in data) for gi in gammas)
+        return AuxLattice(gammas=tuple(gammas), eta=eta, alpha=tuple(a for _, a in data))
+
+
 def build_aux(q: Quiver, gammas, theta) -> AuxLattice:
     """Pull back the Euler form and the stability point along e_i -> gamma_i."""
     gammas = tuple(tuple(g) for g in gammas)
     for g in gammas:
         if len(g) != q.vertex_count or not is_positive_dimvec(g):
             raise InvalidInput(f"not a positive dimension vector: {g}")
-    theta = tuple(Fraction(x) for x in theta)
-    if len(theta) != q.vertex_count:
-        raise InvalidInput("stability parameter has wrong length")
+    pullback = Pullback(q, theta)
     total = tuple(sum(g[i] for g in gammas) for i in range(q.vertex_count))
-    if dot(theta, total) != 0:
-        raise NotOnWall(f"theta({total}) = {dot(theta, total)} != 0")
-    form = euler_skew(q)
-    r = len(gammas)
-    eta = tuple(tuple(form.pair(gammas[i], gammas[j]) for j in range(r)) for i in range(r))
-    alpha = tuple(dot(theta, g) for g in gammas)
-    return AuxLattice(gammas=gammas, eta=eta, alpha=alpha)
+    if pullback.theta_of(total) != 0:
+        raise NotOnWall(f"theta({total}) = {pullback.theta_of(total)} != 0")
+    return pullback.aux(gammas)
 
 
 def alpha_is_generic(eta, alpha) -> bool:

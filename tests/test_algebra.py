@@ -143,8 +143,19 @@ _L1, _B1, _R1 = LaurentPoly.const(1), BiLaurent.const(1), RatFunc(1)
         (_B1, operator.mul, _L1, TypeError),
         (_L1, operator.mul, 1.5, TypeError),
         (1.5, operator.mul, _B1, TypeError),
+        (1, operator.add, _L1, LaurentPoly.const(2)),
+        (1, operator.sub, _L1, LaurentPoly.zero()),
+        (Fraction(1, 2), operator.sub, _B1, BiLaurent.const(Fraction(-1, 2))),
+        (_L1, operator.sub, _R1, RatFunc(0)),
+        (1, operator.sub, _R1, RatFunc(0)),
+        (_L1, lambda a, b: sum([a, b]), _L1, LaurentPoly.const(2)),
+        (_L1, operator.sub, _B1, TypeError),
+        (_B1, operator.sub, _L1, TypeError),
+        (1.5, operator.sub, _L1, TypeError),
+        (1.5, operator.add, _B1, TypeError),
     ],
-    ids=["L+R", "L*R", "R+L", "B+R", "B*R", "L+B", "B+L", "L*B", "B*L", "L*float", "float*B"],
+    ids=["L+R", "L*R", "R+L", "B+R", "B*R", "L+B", "B+L", "L*B", "B*L", "L*float", "float*B",
+         "1+L", "1-L", "q-B", "L-R", "1-R", "sum(L)", "L-B", "B-L", "float-L", "float+B"],
 )
 def test_mixed_type_arithmetic(left, op, right, expected):
     if expected is TypeError:
@@ -152,7 +163,7 @@ def test_mixed_type_arithmetic(left, op, right, expected):
             op(left, right)
     else:
         got = op(left, right)
-        assert type(got) is RatFunc and got == expected
+        assert type(got) is type(expected) and got == expected
 
 
 def _random_ratfunc(rng):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import dt_reference
 import pytest
 
 from quiverdt.algebra import BiLaurent, LaurentPoly, RatFunc, kappa
@@ -17,7 +18,8 @@ from quiverdt.dt import (
     rational_from_integer,
 )
 from quiverdt.errors import InvalidInput, NotGenericTheta, NotOnWall, NotPolynomial
-from quiverdt.lattice import Quiver, build_aux
+from quiverdt.flow import flow_tree_scalar
+from quiverdt.lattice import Quiver, _rng, build_aux, dot
 
 
 def _parts(gamma, **kw):
@@ -112,6 +114,11 @@ def test_multicover_round_trip_random():
 def test_qbracket():
     assert qbracket(1) == LaurentPoly.const(1)
     assert qbracket(3) == LaurentPoly({2: 1, 0: 1, -2: 1})
+    for k in range(1, 12):
+        assert qbracket(k) == LaurentPoly({k - 1 - 2 * j: 1 for j in range(k)})
+    for k in (0, -1):
+        with pytest.raises(InvalidInput):
+            qbracket(k)
 
 
 def test_attractor_table_defaults():
@@ -272,3 +279,105 @@ def test_cache_record_under_another_key_is_ignored(tmp_path):
     # Move the record to the file of `key`, as a hash collision or a stray copy would.
     cache._path(other).rename(cache._path(key))
     assert FCache(tmp_path).get(key) is None
+
+
+Q3 = Quiver.from_arrows(3, [(0, 1, 2), (1, 2, 2), (0, 2, 1)])  # the benchmark's quiver
+CYCLIC = Quiver.from_arrows(3, [(0, 1, 1), (1, 2, 2), (2, 0, 3)])
+ACYCLIC = AttractorTable(acyclic_default=True)
+# Non-unit classes, Fraction coefficients and a t-power: several weight denominators.
+NON_ACYCLIC = AttractorTable(
+    {
+        (1, 0, 0): 1,
+        (0, 1, 0): 1,
+        (0, 0, 1): 1,
+        (2, 0, 0): RatFunc(Fraction(1, 3)),
+        (1, 1, 0): RatFunc(BiLaurent({(2, 0): -1})),
+        (1, 1, 1): RatFunc(
+            BiLaurent({(1, 0): Fraction(1, 2), (-1, 0): Fraction(1, 2), (0, 1): 3}),
+            BiLaurent({(0, 0): 1, (2, 0): 1}),
+        ),
+    }
+)
+DIFFERENTIAL_CASES = [
+    (Quiver.kronecker(1), (2, 2), (1, -1), ACYCLIC),
+    (Quiver.kronecker(2), (3, 3), (1, -1), ACYCLIC),
+    (Quiver.kronecker(2), (2, 2), (Fraction(1, 2), Fraction(-1, 2)), ACYCLIC),
+    (Quiver.kronecker(3), (2, 3), (3, -2), ACYCLIC),
+    (Q3, (2, 2, 1), (39, 34, -146), ACYCLIC),
+    (Q3, (3, 2, 1), (12, -7, -22), ACYCLIC),
+    (Q3, (2, 2, 2), (2, Fraction(7, 2), Fraction(-11, 2)), ACYCLIC),
+    (CYCLIC, (2, 2, 1), (-5, -2, 14), NON_ACYCLIC),
+    (CYCLIC, (1, 1, 2), (Fraction(-8, 3), Fraction(1, 2), Fraction(13, 12)), NON_ACYCLIC),
+]
+
+
+@pytest.mark.parametrize("mode", ["omega", "beta"])
+@pytest.mark.parametrize("disk", [False, True], ids=["memory", "disk"])
+def test_assemble_dt_matches_the_term_by_term_reference(tmp_path, mode, disk):
+    # The reference pulls back with Fraction dot products and normalizes every
+    # term; assemble_dt pulls back in ints and normalizes once per denominator.
+    for q, gamma, theta, table in DIFFERENTIAL_CASES:
+        want = dt_reference.assemble_dt(
+            q, gamma, theta, table, mode=mode, seed=3, cache=FCache(tmp_path) if disk else None
+        )
+        # With a disk, every coefficient is read back from the reference's records.
+        got = assemble_dt(
+            q, gamma, theta, table, mode=mode, seed=3, cache=FCache(tmp_path) if disk else None
+        )
+        assert got.render() == want.render(), (gamma, theta)
+
+
+def test_differential_cases_are_not_trivial():
+    # The cases must reach several weight denominators and repeated parts.
+    renders = {
+        assemble_dt(q, gamma, theta, table).render()
+        for q, gamma, theta, table in DIFFERENTIAL_CASES
+    }
+    assert len(renders) == len(DIFFERENTIAL_CASES)
+    assert sum(" / " in text for text in renders) >= 5
+
+
+def _random_decomposition(rng, q):
+    """Classes gamma_1..gamma_r and a theta with denominators on their sum's wall."""
+    n = q.vertex_count
+    gammas = []
+    for _ in range(int(rng.integers(1, 5))):
+        g = [int(rng.integers(0, 3)) for _ in range(n)]
+        g[int(rng.integers(0, n))] += 1
+        gammas.append(tuple(g))
+    total = [sum(col) for col in zip(*gammas)]
+    theta = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))) for _ in range(n - 1)]
+    pivot = next(i for i in reversed(range(n)) if total[i])
+    theta.insert(pivot, 0)
+    theta[pivot] = -dot(theta, total) / total[pivot]
+    return gammas, tuple(theta)
+
+
+def test_build_aux_pulls_back_as_the_fraction_reference():
+    rng = _rng(5, "pullback")
+    for q in (Q3, CYCLIC, Quiver.kronecker(3)):
+        for _ in range(30):
+            gammas, theta = _random_decomposition(rng, q)
+            got, want = build_aux(q, gammas, theta), dt_reference.build_aux(q, gammas, theta)
+            assert got.eta == want.eta and got.alpha == want.alpha
+            assert got.alpha == tuple(dot(theta, g) for g in gammas)
+            assert FCache.key_for(got) == FCache.key_for(want)
+    # Integral theta gives int alphas; any other theta gives Fractions.
+    aux = build_aux(Q3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (Fraction(4, 2), 3, -5))
+    assert [type(a) for a in aux.alpha] == [int, int, int]
+    aux = build_aux(Q3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], (Fraction(1, 2), 3, Fraction(-7, 2)))
+    assert aux.alpha == (Fraction(1, 2), 3, Fraction(-7, 2))
+
+
+def test_cache_reads_back_int_coefficients(tmp_path):
+    aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (Fraction(1, 2), -1))
+    value = flow_tree_scalar(aux)
+    key = FCache.key_for(aux)
+    FCache(tmp_path).put(key, value)
+    got = FCache(tmp_path).get(key)
+    assert got == value and got.render() == value.render()
+    assert got.terms() and all(type(c) is int for c in got.terms().values())
+    FCache(tmp_path).put(key, LaurentPoly({0: Fraction(1, 2), 2: 3}))
+    assert [type(c) for _, c in sorted(FCache(tmp_path).get(key).terms().items())] == [
+        Fraction, int
+    ]
