@@ -160,9 +160,12 @@ def _cmd_oracle(args, out) -> int:
             raise InvalidInput("the rank-2 oracle needs a 2-vertex quiver")
     else:
         quiver = Quiver.kronecker(args.m)
+    form = checks.quiver_skew(quiver)
+    if form[0][1] == 0:
+        raise InvalidInput("the skew form is zero, so its rays have no direction")
     table = _load_attractor(args.attractor, quiver.vertex_count)
     initial = checks.rank2_initial_data(table, args.degree)
-    diagram = reconstruct_rank2(initial, checks.quiver_skew(quiver), args.degree)
+    diagram = reconstruct_rank2(initial, form, args.degree)
     for _, (class_vec, coeff) in diagram.ray_entries():
         out.write(f"ray {class_vec[0]},{class_vec[1]} : {coeff.render()}\n")
     return 0

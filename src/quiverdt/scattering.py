@@ -4,16 +4,18 @@ Lie elements are sparse dictionaries mapping lattice classes to rational-
 function coefficients, with bracket [z^a, z^b] = kappa(<a, b>) z^{a+b},
 truncated by total dimension.
 
-Path-ordered products of wall elements are folded in a faithful
-associative model of the unipotent group (z^n -> (y - y^-1)^{delta(n)-1}
-x^n with x^a x^b = (-y)^{<a,b>} x^{a+b}); the tests check it against the
-Dynkin expansion of the BCH series.
+``GradedLie`` also carries the group model: path-ordered products of wall
+elements are folded in a faithful associative model of the unipotent
+group (z^n -> (y - y^-1)^{delta(n)-1} x^n with x^a x^b = (-y)^{<a,b>}
+x^{a+b}), whose product is the bracket's truncated convolution with
+another factor.  The tests check it against the Dynkin BCH series.
 
 The rank-2 oracle reconstructs a consistent diagram from its initial
 (attractor-side) rays as the unique slope-ordered factorization of their
 product (Kontsevich-Soibelman, arXiv:0811.2435): the classes of angle
 above any given one span an ideal, so the factor on the smallest angle
-is read off the product and peeled away, one ray at a time.
+is read off the product and peeled away, one ray at a time.  The final
+loop check reads its crossings from ``Rank2Diagram.ray_entries``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
+from itertools import groupby
 
 from .algebra import BiLaurent, LaurentPoly, RatFunc, _as_ratfunc, kappa
 from .errors import (
@@ -47,6 +50,12 @@ def _kappa_rf(x: int) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
+def _twist_rf(k: int) -> RatFunc:
+    """(-y)^k, the twist of the group product."""
+    return RatFunc(LaurentPoly.monomial(k, -1 if k % 2 else 1))
+
+
+@lru_cache(maxsize=None)
 def _ym_power(j: int) -> BiLaurent:
     """(y - y^-1)^j as a polynomial."""
     out = BiLaurent.const(1)
@@ -56,21 +65,43 @@ def _ym_power(j: int) -> BiLaurent:
     return out
 
 
+def _accumulate(out: dict, n, value: RatFunc) -> None:
+    """Add value to out[n], dropping the entry when the sum cancels."""
+    prev = out.get(n)
+    if prev is not None:
+        value = prev + value
+    if value.is_zero():
+        out.pop(n, None)
+    else:
+        out[n] = value
+
+
+def lie_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for n, c in b.items():
+        _accumulate(out, n, c)
+    return out
+
+
+def lie_scale(a: dict, c) -> dict:
+    if not c:
+        return {}
+    c = _as_ratfunc(c)
+    return {n: c * v for n, v in a.items()}
+
+
 @dataclass(frozen=True)
 class GradedLie:
     """kappa-bracket Lie algebra graded by a positive cone of lattice points.
 
     ``form`` is the integer skew matrix of the pairing.  ``degree_bound``
     truncates by total dimension, keeping the algebra finitely graded; a
-    bracket leaving the support is zero.
+    bracket leaving the support is zero.  Group elements are stored as
+    g - 1 in the twisted monoid algebra of the lattice, truncated the same way.
     """
 
     form: tuple
-    degree_bound: int | None = None
-
-    def __post_init__(self):
-        if self.degree_bound is None:
-            raise InvalidInput("an untruncated lattice algebra is not finitely graded")
+    degree_bound: int
 
     @property
     def rank(self) -> int:
@@ -101,104 +132,50 @@ class GradedLie:
                 out[n] = c
         return out
 
-    def bracket(self, a: dict, b: dict) -> dict:
+    def _product(self, a: dict, b: dict, factor) -> dict:
+        """Sum of factor(<n1, n2>) c1 c2 z^{n1+n2} over the supported terms."""
         out: dict = {}
         for n1, c1 in a.items():
             for n2, c2 in b.items():
                 n = tuple(x + y for x, y in zip(n1, n2))
                 if not self.in_support(n):
                     continue
-                k = self.pairing(n1, n2)
-                if k == 0:
-                    continue
-                term = _kappa_rf(k) * c1 * c2
-                prev = out.get(n)
-                value = term if prev is None else prev + term
-                if value.is_zero():
-                    out.pop(n, None)
-                else:
-                    out[n] = value
+                f = factor(self.pairing(n1, n2))
+                if f:
+                    _accumulate(out, n, f * c1 * c2)
         return out
 
-
-def lie_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for n, c in b.items():
-        prev = out.get(n)
-        value = c if prev is None else prev + c
-        if value.is_zero():
-            out.pop(n, None)
-        else:
-            out[n] = value
-    return out
-
-
-def lie_scale(a: dict, c) -> dict:
-    if not c:
-        return {}
-    return {n: _as_ratfunc(c) * v for n, v in a.items()}
-
-
-# ---------------------------------------------------------------------------
-# associative model of the unipotent group
-
-
-class _TorusGroup:
-    """Group elements as g - 1 in the twisted monoid algebra of the lattice."""
-
-    def __init__(self, alg: GradedLie):
-        self.alg = alg
-
-    def _twist(self, d: int) -> LaurentPoly:
-        return LaurentPoly.monomial(d, -1 if d % 2 else 1)
-
-    def mul_raw(self, u: dict, v: dict) -> dict:
-        out: dict = {}
-        alg = self.alg
-        for n1, c1 in u.items():
-            for n2, c2 in v.items():
-                n = tuple(x + y for x, y in zip(n1, n2))
-                if not alg.in_support(n):
-                    continue
-                term = c1 * c2 * RatFunc(self._twist(alg.pairing(n1, n2)))
-                prev = out.get(n)
-                value = term if prev is None else prev + term
-                if value.is_zero():
-                    out.pop(n, None)
-                else:
-                    out[n] = value
-        return out
+    def bracket(self, a: dict, b: dict) -> dict:
+        return self._product(a, b, _kappa_rf)
 
     def group_mul(self, g: dict, h: dict) -> dict:
-        return lie_add(lie_add(g, h), self.mul_raw(g, h))
+        return lie_add(lie_add(g, h), self._product(g, h, _twist_rf))
 
-    def exp(self, lie_elt: dict) -> dict:
-        u = {
-            n: c * RatFunc(_ym_power(sum(n) - 1))
-            for n, c in self.alg.element(lie_elt).items()
-        }
+    def _series(self, u: dict, coeff) -> dict:
+        """Sum over k >= 1 of coeff(k) u^k; finite by the grading bound."""
         total: dict = {}
-        power = {n: RatFunc.one() * c for n, c in u.items()}
+        power = u
         k = 1
         while power:
-            total = lie_add(total, lie_scale(power, Fraction(1, math.factorial(k))))
-            power = self.mul_raw(power, u)
+            total = lie_add(total, lie_scale(power, coeff(k)))
+            power = self._product(power, u, _twist_rf)
             k += 1
         return total
 
+    def exp(self, lie_elt: dict) -> dict:
+        u = {n: c * RatFunc(_ym_power(sum(n) - 1)) for n, c in self.element(lie_elt).items()}
+        return self._series(u, lambda k: Fraction(1, math.factorial(k)))
+
     def log(self, g: dict) -> dict:
-        total: dict = {}
-        power = dict(g)
-        k = 1
-        while power:
-            total = lie_add(total, lie_scale(power, Fraction((-1) ** (k + 1), k)))
-            power = self.mul_raw(power, g)
-            k += 1
-        return {
-            n: c * RatFunc(1, _ym_power(sum(n) - 1))
-            for n, c in total.items()
-            if not c.is_zero()
-        }
+        total = self._series(g, lambda k: Fraction((-1) ** (k + 1), k))
+        return {n: c * RatFunc(1, _ym_power(sum(n) - 1)) for n, c in total.items()}
+
+    def path_product(self, crossings) -> dict:
+        """Ordered product of exp(sign * element); later crossings multiply on the left."""
+        g: dict = {}
+        for element, sign in crossings:
+            g = self.group_mul(self.exp(lie_scale(element, sign)), g)
+        return g
 
 
 def assoc_log_product(alg: GradedLie, crossings) -> dict:
@@ -207,11 +184,7 @@ def assoc_log_product(alg: GradedLie, crossings) -> dict:
     Crossings are given in the order they are met; later crossings
     multiply on the left.
     """
-    group = _TorusGroup(alg)
-    g: dict = {}
-    for element, sign in crossings:
-        g = group.group_mul(group.exp(lie_scale(element, sign)), g)
-    return group.log(g)
+    return alg.log(alg.path_product(crossings))
 
 
 # ---------------------------------------------------------------------------
@@ -284,38 +257,23 @@ class Rank2Diagram:
         ordered by total dimension.
         """
         out = []
-        for n, c in self.initial.items():
-            d = _attractor_direction(self.form, _primitive(n)[0])
-            if d != (0, 0) and not c.is_zero():
-                out.append((d, (sum(n), n), (n, c)))
-        for n, c in self.scattered.items():
-            d = _attractor_direction(self.form, _primitive(n)[0])
-            d = (-d[0], -d[1])
-            if d != (0, 0) and not c.is_zero():
-                out.append((d, (sum(n), n), (n, c)))
+        for values, side in ((self.initial, 1), (self.scattered, -1)):
+            for n, c in values.items():
+                d = _attractor_direction(self.form, _primitive(n)[0])
+                d = (side * d[0], side * d[1])
+                if d != (0, 0) and not c.is_zero():
+                    out.append((d, (sum(n), n), (n, c)))
         return [(d, entry) for d, _, entry in _sort_ccw(out)]
 
 
-def _loop_rays(form, initial, scattered):
-    """Crossing-ordered (element, sign) list for a counterclockwise loop."""
-    primitives = set()
-    for n in list(initial) + list(scattered):
-        primitives.add(_primitive(n)[0])
+def _loop_rays(diagram: Rank2Diagram):
+    """(element, sign) per ray of ``ray_entries``, in crossing order for a counterclockwise loop."""
     rays = []
-    for p in sorted(primitives):
-        d_att = _attractor_direction(form, p)
-        if d_att == (0, 0):
-            raise ConsistencyFailure(f"degenerate attractor direction for {p}")
-        d_sct = (-d_att[0], -d_att[1])
-        att_elt = {
-            n: c for n, c in initial.items() if _primitive(n)[0] == p and not c.is_zero()
-        }
-        sct_elt = {
-            n: c for n, c in scattered.items() if _primitive(n)[0] == p and not c.is_zero()
-        }
-        rays.append((d_att, 0, (att_elt, _crossing_sign(p, d_att))))
-        rays.append((d_sct, 0, (sct_elt, _crossing_sign(p, d_sct))))
-    return [payload for _, _, payload in _sort_ccw(rays)]
+    for d, entries in groupby(diagram.ray_entries(), key=lambda entry: entry[0]):
+        element = dict(entry for _, entry in entries)
+        normal = _primitive(next(iter(element)))[0]
+        rays.append((element, _crossing_sign(normal, d)))
+    return rays
 
 
 def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
@@ -357,22 +315,20 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
 
     s = 1 if form[0][1] > 0 else -1
     alg = GradedLie(form=form, degree_bound=degree_bound)
-    group = _TorusGroup(alg)
-    target: dict = {}
-    for n in sorted(init, key=angle):
-        target = group.group_mul(group.exp(lie_scale({n: init[n]}, s)), target)
+    target = alg.path_product(({n: init[n]}, s) for n in sorted(init, key=angle))
     scattered: dict = {}
     while target:
         ray = min(map(angle, target))
         part = {n: c for n, c in target.items() if angle(n) == ray}
-        element = lie_scale(group.log(part), s)
+        element = lie_scale(alg.log(part), s)
         scattered.update(element)
-        target = group.group_mul(group.exp(lie_scale(element, -s)), target)
+        target = alg.group_mul(alg.exp(lie_scale(element, -s)), target)
 
-    final = assoc_log_product(alg, _loop_rays(form, init, scattered))
+    diagram = Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=scattered)
+    final = assoc_log_product(alg, _loop_rays(diagram))
     if final:
         raise ConsistencyFailure(f"reconstruction left a nonzero loop product: {final}")
-    return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=scattered)
+    return diagram
 
 
 def dt_from_rank2(diag: Rank2Diagram, gamma, theta) -> RatFunc:

@@ -166,6 +166,18 @@ def test_oracle_argument_validation(capsys, kronecker1):
     assert code == 2
 
 
+def test_oracle_on_a_zero_form_exits_2(capsys, tmp_path):
+    cancelling = tmp_path / "cancelling.quiver"
+    cancelling.write_text("vertices 2\narrow 1 2 1\narrow 2 1 1\n")
+    for source in (["--m", "0"], ["--quiver", str(cancelling)]):
+        code = main(["oracle", "rank2", *source, "--degree", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", captured.out
+        assert captured.err == "error: the skew form is zero, so its rays have no direction\n"
+    code, out = _run(capsys, ["check", "oracle", "--m", "0", "--max-dim", "3"])
+    assert code == 0 and out.endswith("PASS\n")
+
+
 def test_check_commands(capsys):
     code, out = _run(capsys, ["check", "multicover", "--trials", "3"])
     assert code == 0 and out.endswith("PASS\n")

@@ -1,9 +1,11 @@
 """Lie algebra brackets, the group model against BCH, the rank-2 oracle and joint consistency."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from quiverdt import scattering
 from quiverdt.algebra import BiLaurent, RatFunc, kappa
 from quiverdt.checks import kronecker_oracle_data, quiver_skew, random_instance
 from quiverdt.errors import ConsistencyFailure, DegreeExceeded, InvalidInput
@@ -143,7 +145,7 @@ def test_h_mode_degenerate_bracket_vanishes():
 
 
 def test_untruncated_lattice_algebra_rejected():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(TypeError):
         GradedLie(form=((0, 1), (-1, 0)))
 
 
@@ -172,7 +174,7 @@ def test_reconstruct_pentagon_loop_vanishes_via_bch():
     # verify the reconstructed A2 diagram with the Dynkin-BCH path product
     diag = reconstruct_rank2({(1, 0): 1, (0, 1): 1}, ((0, 1), (-1, 0)), 3)
     alg = GradedLie(form=diag.form, degree_bound=3)
-    crossings = _loop_rays(diag.form, diag.initial, diag.scattered)
+    crossings = _loop_rays(diag)
     assert path_ordered_product(alg, crossings) == {}
 
 
@@ -185,8 +187,24 @@ def test_reconstruct_k2_self_check_and_rays():
     # the consistency of the final diagram is asserted inside reconstruct_rank2;
     # verify the lowest degrees once more through the Dynkin route
     low = GradedLie(form=diag.form, degree_bound=3)
-    crossings = _loop_rays(diag.form, diag.initial, diag.scattered)
+    crossings = _loop_rays(diag)
     assert path_ordered_product(low, crossings) == {}
+
+
+def test_reconstruct_final_loop_check_rejects_a_corrupted_diagram(monkeypatch):
+    # drop the scattered (1, 1) ray of Kronecker-2 on its way into the final check
+    quiver = Quiver.kronecker(2)
+    _, initial = kronecker_oracle_data(2, 4)
+    loop_rays = scattering._loop_rays
+
+    def drop_ray(diagram):
+        assert not diagram.scattered[(1, 1)].is_zero()
+        scattered = {n: c for n, c in diagram.scattered.items() if n != (1, 1)}
+        return loop_rays(dataclasses.replace(diagram, scattered=scattered))
+
+    monkeypatch.setattr(scattering, "_loop_rays", drop_ray)
+    with pytest.raises(ConsistencyFailure):
+        reconstruct_rank2(initial, quiver_skew(quiver), 4)
 
 
 def _swap(elements):
