@@ -12,11 +12,14 @@ Three value types live here:
   share one sparse core (``_Laurent``) and differ in their exponent type
   (int or (y, t) pair) and their product loop.
 * ``RatFunc``     -- elements of Q(y)[t^±1]: a BiLaurent over a denominator
-  in y alone, stored in a canonical form, so equal values have equal
-  fields, hashes and renderings and only a univariate gcd is ever needed.
-  The gcd runs in ints, on primitive parts over Z; sums are formed over
-  the lcm of the denominators; negation, multiplication by a unit and
-  ``substitute_power`` keep a canonical pair canonical and skip the gcd.
+  in y alone, stored as a canonical pair of integer polynomials, so equal
+  values have equal pairs, hashes and renderings and only a univariate gcd
+  is ever needed.  All of its arithmetic runs in ints: gcds on primitive
+  parts over Z, sums over the lcm of the denominators, products by
+  cancelling each numerator against the other denominator; negation,
+  multiplication by a unit and ``substitute_power`` skip the gcd.  The
+  rational views ``num`` / ``den`` (denominator's lowest term 1) are built
+  only when read.
 
 The canonical text rendering (ascending y-exponent, then ascending
 t-exponent, explicit signs, ``y^-1``-style exponents) is the bit-exact
@@ -241,15 +244,12 @@ def _dense(p: dict):
     return lo, out
 
 
-def _primitive(p: list):
-    """(content, part) with p = content * part for a nonzero rational coefficient
-    list: part has coprime int entries and a positive last entry."""
-    m = reduce(math.lcm, [c.denominator for c in p])
-    ints = [c.numerator * (m // c.denominator) for c in p]
-    g = reduce(math.gcd, ints)
-    if ints[-1] < 0:
+def _primitive(p: list) -> list:
+    """The primitive part of a nonzero int coefficient list: coprime entries, positive last entry."""
+    g = math.gcd(*p)
+    if p[-1] < 0:
         g = -g
-    return Fraction(g, m) if m != 1 else g, [c // g for c in ints]
+    return p if g == 1 else [c // g for c in p]
 
 
 def _gcd_int(a: list, b: list) -> list:
@@ -263,7 +263,7 @@ def _gcd_int(a: list, b: list) -> list:
                 r[shift + i] -= c * b[i]
             while r and not r[-1]:
                 r.pop()
-        a, b = b, (_primitive(r)[1] if r else r)
+        a, b = b, (_primitive(r) if r else r)
     return a
 
 
@@ -283,46 +283,106 @@ def _div_exact(a: list, b: list) -> list:
     return q
 
 
-def _y_list(den: BiLaurent):
-    """_dense of a y-only BiLaurent."""
-    return _dense({ye: c for (ye, _), c in den._terms.items()})
+def _poly_mul(a, b) -> list:
+    """Product of two int coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, z in enumerate(b):
+                out[i + j] += x * z
+    return out
 
 
-def _undense(content, coeffs: list, lo: int = 0, te: int = 0) -> dict:
-    """The {(y-exp, t-exp): coeff} terms of content * y^lo * t^te * coeffs."""
-    return {(e + lo, te): content * c for e, c in enumerate(coeffs) if c}
+def _times_y_list(n: BiLaurent, p) -> BiLaurent:
+    """n times the y-polynomial with coefficient list p."""
+    if len(p) == 1 and p[0] == 1:
+        return n
+    return n * BiLaurent._of({(e, 0): c for e, c in enumerate(p) if c})
 
 
-def _cofactors(b: BiLaurent, d: BiLaurent):
-    """(b / g, d / g) for g the gcd over Q[y] of two canonical denominators."""
-    (bc, bp), (dc, dp) = _primitive(_y_list(b)[1]), _primitive(_y_list(d)[1])
-    g = _gcd_int(bp, dp)
+def _cofactors(b: tuple, d: tuple):
+    """(b / g, d / g) for g the gcd over Q[y] of two denominators."""
+    g = _gcd_int(_primitive(b), _primitive(d))
     if len(g) == 1:
         return b, d
-    return (BiLaurent(_undense(bc, _div_exact(bp, g))),
-            BiLaurent(_undense(dc, _div_exact(dp, g))))
+    return _div_exact(b, g), _div_exact(d, g)
+
+
+def _cancel(n: dict, d):
+    """Divide the int terms n and the y-list d by the gcd over Q[y] of d and every t-slice of n.
+
+    d[0] != 0, so a one-term slice (a monomial) shares no factor with d.
+    """
+    slices: dict = {}
+    for (ye, te), c in n.items():
+        slices.setdefault(te, {})[ye] = c
+    g, parts = _primitive(d), []
+    for te, p in slices.items():
+        if len(p) == 1:
+            return n, d
+        lo, p = _dense(p)
+        g = _gcd_int(g, _primitive(p))
+        if len(g) == 1:
+            return n, d
+        parts.append((te, lo, p))
+    out = {}
+    for te, lo, p in parts:
+        out.update({(e + lo, te): c for e, c in enumerate(_div_exact(p, g)) if c})
+    return out, _div_exact(d, g)
+
+
+def _content_free(n: dict, d) -> tuple:
+    """(BiLaurent, tuple) of the int terms n and y-list d over their joint content, d[0] > 0."""
+    if d[0] != 1:
+        g = math.gcd(*d, *n.values())
+        if d[0] < 0:
+            g = -g
+        if g != 1:
+            n = {e: c // g for e, c in n.items()}
+            d = [c // g for c in d]
+    return BiLaurent._of(n), tuple(d)
+
+
+def _normalize(n: dict, d) -> tuple:
+    """The canonical pair of n / d, for int terms n and an int y-list d with d[0] != 0."""
+    if not n:
+        return BiLaurent._of({}), (1,)
+    if len(d) > 1:
+        n, d = _cancel(n, d)
+    return _content_free(n, d)
+
+
+def _integral(c, m: int) -> int:
+    """m c as an int, for a coefficient whose denominator divides m."""
+    return c * m if isinstance(c, int) else c.numerator * (m // c.denominator)
 
 
 class RatFunc:
-    """Element of Q(y)[t^±1]: a BiLaurent numerator over a Laurent polynomial in y.
+    """Element of Q(y)[t^±1]: a polynomial in (y, t) over a polynomial in y.
 
-    The stored pair is canonical: the gcd over Q[y] of the denominator and
-    every t-slice of the numerator is cancelled, then both are scaled so
-    that the denominator's lowest term is the constant +1.  A y-only
-    irreducible divides the numerator exactly when it divides every
-    t-slice, so equal fractions store equal fields; equality and hashing
-    compare them directly.  A denominator involving t raises InvalidInput.
+    Stored as a pair of integer polynomials (N, D), the ``pair`` attribute:
+    N is an int BiLaurent and D a tuple of int y-coefficients from y^0 up,
+    with D[0] > 0.  The gcd over Q[y] of D and every t-slice of N is
+    cancelled, and the joint integer content of N and D is 1.  A y-only
+    irreducible divides N exactly when it divides every t-slice, so this
+    form is unique: equality and hashing compare the pair.  A denominator
+    involving t raises InvalidInput.
 
-    The gcd is taken over Z on primitive parts.  a/b + c/d is built as
-    (a (d/g) + c (b/g)) / ((b/g) d) with g = gcd(b, d), so the gcd that
-    follows works on the lcm, not on b d.  Three operations build the
-    canonical pair directly: negation; multiplication by a unit (a one-term
-    numerator over denominator 1), which scales each t-slice by a monomial;
-    and ``substitute_power``, since a Bezout identity survives y -> y^k and
-    the denominator keeps its constant term 1.
+    All arithmetic runs in ints.  The gcd is taken over Z on primitive
+    parts; by Gauss's lemma a primitive divisor divides exactly over Z.
+    a/b + c/d is built as (a (d/g) + c (b/g)) / ((b/g) d) with
+    g = gcd(b, d), so the gcd that follows works on the lcm, not on b d.
+    A product cancels N1 against D2 and N2 against D1, the only factors it
+    can share.  Three operations skip the gcd: negation; multiplication by
+    a unit (one term over a constant), which can change only the content;
+    and ``substitute_power``, since a Bezout identity survives y -> y^k.
+
+    ``num`` and ``den`` are the rational views N / D[0] and D / D[0], the
+    pair scaled so that the denominator's lowest term is the constant +1;
+    they are built when read, as is the ``render`` text.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
     def __init__(self, num, den=1):
         num, den = _as_bilaurent(num), _as_bilaurent(den)
@@ -330,41 +390,71 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if any(te for (_, te) in den._terms):
             raise InvalidInput(f"denominator is not a polynomial in y: {den.render()}")
-        self.num, self.den = _normalize(num, den)
+        lo, d = _dense({ye: c for (ye, _), c in den._terms.items()})
+        if lo:
+            num = num * BiLaurent._of({(-lo, 0): 1})
+        self._n, self._d = _rational_pair(num, d)
+
+    @staticmethod
+    def _canonical(n: BiLaurent, d: tuple) -> "RatFunc":
+        """Wrap a pair that is already canonical, with no gcd and no scaling."""
+        res = RatFunc.__new__(RatFunc)
+        res._n, res._d = n, d
+        return res
+
+    @staticmethod
+    def from_pair(num: BiLaurent, den: tuple) -> "RatFunc":
+        """num / den, for a denominator given like ``pair``'s: y-coefficients from y^0 up."""
+        return RatFunc._canonical(*_rational_pair(num, den))
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(0)
+        return RatFunc._canonical(BiLaurent._of({}), (1,))
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc(1)
+        return RatFunc._canonical(BiLaurent._of({(0, 0): 1}), (1,))
+
+    @property
+    def pair(self) -> tuple:
+        """(N, D): the int BiLaurent numerator and the denominator's int y-coefficients."""
+        return self._n, self._d
+
+    @property
+    def num(self) -> BiLaurent:
+        d0 = self._d[0]
+        if d0 == 1:
+            return self._n
+        return BiLaurent._of({e: Fraction(c, d0) for e, c in self._n._terms.items()})
+
+    @property
+    def den(self) -> BiLaurent:
+        d0 = self._d[0]
+        return BiLaurent._of({(e, 0): Fraction(c, d0) for e, c in enumerate(self._d) if c})
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self._n._terms
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
-    @staticmethod
-    def _canonical(num: BiLaurent, den: BiLaurent) -> "RatFunc":
-        """Wrap a pair that is already canonical, with no gcd and no scaling."""
-        res = RatFunc.__new__(RatFunc)
-        res.num, res.den = num, den
-        return res
+        return bool(self._n._terms)
 
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
-        b, d = self.den, other.den
+        if not other._n._terms:
+            return self
+        if not self._n._terms:
+            return other
+        b, d = self._d, other._d
         if b == d:
-            return RatFunc(self.num + other.num, b)
+            return RatFunc._canonical(*_normalize((self._n + other._n)._terms, b))
         b_g, d_g = _cofactors(b, d)
-        return RatFunc(self.num * d_g + other.num * b_g, b_g * d)
+        num = _times_y_list(self._n, d_g) + _times_y_list(other._n, b_g)
+        return RatFunc._canonical(*_normalize(num._terms, _poly_mul(b_g, d)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc._canonical(-self.num, self.den)
+        return RatFunc._canonical(-self._n, self._d)
 
     def __sub__(self, other) -> "RatFunc":
         return self + (-_as_ratfunc(other))
@@ -374,10 +464,23 @@ class RatFunc:
 
     def __mul__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
-        for unit, f in ((self, other), (other, self)):
-            if len(unit.num._terms) == 1 and unit.den == _ONE:
-                return RatFunc._canonical(f.num * unit.num, f.den)
-        return RatFunc(self.num * other.num, self.den * other.den)
+        (n1, d1), (n2, d2) = (self._n, self._d), (other._n, other._d)
+        if not n1._terms or not n2._terms:
+            return RatFunc.zero()
+        for (nu, du), (nf, df) in (((n1, d1), (n2, d2)), ((n2, d2), (n1, d1))):
+            if len(du) == 1 and len(nu._terms) == 1:
+                # a unit c y^a t^b / q: the gcd stays, only the content can change
+                (_, c), q = next(iter(nu._terms.items())), du[0]
+                if q == 1 and (c == 1 or c == -1):
+                    return RatFunc._canonical(nf * nu, df)
+                return RatFunc._canonical(*_content_free((nf * nu)._terms, [q * x for x in df]))
+        a, b = n1._terms, n2._terms
+        if len(d2) > 1:
+            a, d2 = _cancel(a, d2)
+        if len(d1) > 1:
+            b, d1 = _cancel(b, d1)
+        num = BiLaurent._of(a) * BiLaurent._of(b)
+        return RatFunc._canonical(*_content_free(num._terms, _poly_mul(d1, d2)))
 
     __rmul__ = __mul__
 
@@ -385,30 +488,32 @@ class RatFunc:
         if not isinstance(other, (RatFunc, BiLaurent, LaurentPoly, int, Fraction)):
             return NotImplemented
         other = _as_ratfunc(other)
-        return self.num == other.num and self.den == other.den
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash((self._n, self._d))
 
     def substitute_power(self, k: int) -> "RatFunc":
-        return RatFunc._canonical(self.num.substitute_power(k), self.den.substitute_power(k))
+        n = self._n.substitute_power(k)
+        if k == 1:
+            return self
+        d = [0] * (k * (len(self._d) - 1) + 1)
+        d[::k] = self._d
+        return RatFunc._canonical(n, tuple(d))
 
     def to_bilaurent(self) -> BiLaurent:
         """Exact polynomial value; raises NotPolynomial when the fraction is not one."""
-        if self.den != _ONE:
+        if len(self._d) > 1:
             raise NotPolynomial(f"not a Laurent polynomial: {self.render()}")
         return self.num
 
     def render(self) -> str:
-        if self.den == _ONE:
+        if len(self._d) == 1:
             return self.num.render()
         return f"({self.num.render()}) / ({self.den.render()})"
 
     def __repr__(self) -> str:
         return f"RatFunc({self.render()})"
-
-
-_ONE = BiLaurent.const(1)
 
 
 def _as_bilaurent(x) -> BiLaurent:
@@ -425,37 +530,14 @@ def _as_ratfunc(x) -> RatFunc:
     return RatFunc(x)
 
 
-def _normalize(num: BiLaurent, den: BiLaurent):
-    """The canonical pair of num / den, for a nonzero y-only den."""
-    if num.is_zero():
-        return num, _ONE
-    if len(den._terms) > 1:
-        num, den = _cancel_gcd(num, den)
-    (ye, _), c = den.smallest_term()
-    if ye or c != 1:
-        scale = BiLaurent.monomial(-ye, 0, Fraction(1) / c)
-        num, den = num * scale, den * scale
-    return num, den
-
-
-def _cancel_gcd(num: BiLaurent, den: BiLaurent):
-    """Divide num and den by the gcd over Q[y] of den and every t-slice of num."""
-    slices: dict = {}
-    for (ye, te), c in num._terms.items():
-        slices.setdefault(te, {})[ye] = c
-    den_lo, den_p = _y_list(den)
-    den_c, den_p = _primitive(den_p)
-    g, parts = den_p, {}
-    for te, p in slices.items():
-        lo, p = _dense(p)
-        parts[te] = (lo, *_primitive(p))
-        g = _gcd_int(g, parts[te][2])
-        if len(g) == 1:
-            return num, den
-    quo = {}
-    for te, (lo, content, p) in parts.items():
-        quo.update(_undense(content, _div_exact(p, g), lo, te))
-    return BiLaurent(quo), BiLaurent(_undense(den_c, _div_exact(den_p, g), den_lo))
+def _rational_pair(num: BiLaurent, d) -> tuple:
+    """The canonical pair of num / d, for rational coefficients and d[0] != 0."""
+    m = 1
+    for c in (*num._terms.values(), *d):
+        if not isinstance(c, int):
+            m = math.lcm(m, c.denominator)
+    n = {e: _integral(c, m) for e, c in num._terms.items()}
+    return _normalize(n, [_integral(c, m) for c in d])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ multiset's symmetry group.  Theta is pulled back once per call
 each alpha_i is an int dot product, a Fraction only when c != 1, and the
 Euler column M gamma_p of each part p is formed once.  The sum runs per
 weight denominator: a decomposition D weighs w(D) = prod_p Omega_bar(p) /
-|Aut D|, a canonical RatFunc, and the numerators F(D) num(w(D)) of all D
-with one den(w(D)) are added as polynomials; only those few sums are
-normalized.  Canonical forms are unique, so the result has the same fields
-as the term-by-term sum.  Multicover conversion between integer-level
+|Aut D|, a canonical RatFunc with integer pair (N, Q), and the numerators
+F(D) N of all D with one Q are added as polynomials; only those few sums
+are normalized.  Canonical forms are unique, so the result has the same
+pair as the term-by-term sum.  Multicover conversion between integer-level
 and rational invariants runs in both directions; the inverse direction
 asserts integrality.
 
@@ -331,7 +331,8 @@ def assemble_dt(
     if pullback.theta_of(gamma) != 0:
         raise NotOnWall(f"theta(gamma) = {pullback.theta_of(gamma)} != 0")
     if not is_gamma_generic(pullback.numerators, gamma):
-        raise NotGenericTheta(f"theta = {theta} is not generic for gamma = {gamma}")
+        shown = ", ".join(map(str, theta))
+        raise NotGenericTheta(f"theta = ({shown}) is not generic for gamma = {gamma}")
 
     allowed_parts = [p for p in _iter_box(gamma) if not table.rational_value(p).is_zero()]
     numerators: dict = {}  # weight denominator -> sum of F(D) * weight numerator
@@ -343,9 +344,9 @@ def assemble_dt(
         weight = RatFunc(1, decomp.aut_order)
         for part in decomp.parts:
             weight = weight * table.rational_value(part)
-        term = coeff.to_bilaurent() * weight.num
-        numerators[weight.den] = numerators.get(weight.den, BiLaurent.zero()) + term
-    return sum((RatFunc(num, den) for den, num in numerators.items()), RatFunc.zero())
+        num, den = weight.pair
+        numerators[den] = numerators.get(den, BiLaurent.zero()) + coeff.to_bilaurent() * num
+    return sum((RatFunc.from_pair(num, den) for den, num in numerators.items()), RatFunc.zero())
 
 
 def assemble_divisors(

@@ -56,13 +56,12 @@ def _twist_rf(k: int) -> RatFunc:
 
 
 @lru_cache(maxsize=None)
-def _ym_power(j: int) -> BiLaurent:
-    """(y - y^-1)^j as a polynomial."""
-    out = BiLaurent.const(1)
-    step = BiLaurent({(1, 0): 1, (-1, 0): -1})
-    for _ in range(j):
-        out = out * step
-    return out
+def _ym_rf(j: int) -> RatFunc:
+    """(y - y^-1)^j for any integer j, the factor between z^n and x^n."""
+    power = BiLaurent.const(1)
+    for _ in range(abs(j)):
+        power = power * BiLaurent({(1, 0): 1, (-1, 0): -1})
+    return RatFunc(power) if j >= 0 else RatFunc(1, power)
 
 
 def _accumulate(out: dict, n, value: RatFunc) -> None:
@@ -163,12 +162,12 @@ class GradedLie:
         return total
 
     def exp(self, lie_elt: dict) -> dict:
-        u = {n: c * RatFunc(_ym_power(sum(n) - 1)) for n, c in self.element(lie_elt).items()}
+        u = {n: c * _ym_rf(sum(n) - 1) for n, c in self.element(lie_elt).items()}
         return self._series(u, lambda k: Fraction(1, math.factorial(k)))
 
     def log(self, g: dict) -> dict:
         total = self._series(g, lambda k: Fraction((-1) ** (k + 1), k))
-        return {n: c * RatFunc(1, _ym_power(sum(n) - 1)) for n, c in total.items()}
+        return {n: c * _ym_rf(1 - sum(n)) for n, c in total.items()}
 
     def path_product(self, crossings) -> dict:
         """Ordered product of exp(sign * element); later crossings multiply on the left."""

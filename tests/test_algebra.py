@@ -1,5 +1,6 @@
 """Exact arithmetic: kappa, Laurent polynomials, rational functions."""
 
+import math
 import operator
 from fractions import Fraction
 from functools import reduce
@@ -279,6 +280,15 @@ def _render_pair(num, den):
     return num.render() if den == _ONE else f"({num.render()}) / ({den.render()})"
 
 
+def _assert_canonical_pair(f):
+    """The stored pair: int coefficients, D[0] > 0 (lowest y-exponent 0), joint content 1."""
+    n, d = f.pair
+    coefficients = list(n.terms().values())
+    assert type(d) is tuple and d[0] > 0 and d[-1] != 0
+    assert all(type(c) is int for c in (*d, *coefficients))
+    assert math.gcd(*d, *coefficients) == 1
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(a=_pair, b=_pair, unit=_unit, k=st.integers(1, 3))
 def test_ratfunc_ops_match_the_euclid_reference(a, b, unit, k):
@@ -296,6 +306,7 @@ def test_ratfunc_ops_match_the_euclid_reference(a, b, unit, k):
     ]
     for got, (num, den) in cases:
         num, den = canonical_pair(num, den)
+        _assert_canonical_pair(got)
         assert got.num == num and got.den == den
         assert got.render() == _render_pair(num, den)
 
@@ -337,3 +348,46 @@ def test_exact_division_rejects_a_remainder():
         _div_exact([1, 0, 1], [1, 1])
     with pytest.raises(ArithmeticError):
         _div_exact([3, 3], [2, 2])
+
+
+def test_ratfunc_pair_is_unique_under_scaling():
+    a = RatFunc(_Y * 2, _ONE * 4 + _Y * _Y * 4)
+    b = RatFunc(_Y * Fraction(1, 2), _ONE + _Y * _Y)
+    assert a == b and hash(a) == hash(b)
+    assert a.pair == b.pair == (_Y, (2, 0, 2))
+    assert (a.num, a.den) == (_Y * Fraction(1, 2), _ONE + _Y * _Y)
+    assert a.render() == "(1/2*y) / (1 + y^2)"
+
+
+def test_ratfunc_integral_fraction_coefficients():
+    f = RatFunc(BiLaurent({(1, 0): Fraction(2, 1)}), BiLaurent.const(Fraction(4, 1)))
+    _assert_canonical_pair(f)
+    assert f.pair == (_Y, (2,)) and f == RatFunc(_Y, 2)
+
+
+def test_ratfunc_negative_denominator_entries():
+    # a negative lowest entry flips the sign of the pair: (1 - y) / ((y - 1)(2 + 3y))
+    f = RatFunc(_ONE - _Y, (_Y - 1) * (_ONE * 2 + _Y * 3))
+    _assert_canonical_pair(f)
+    assert f.pair == (-_ONE, (2, 3)) and f.render() == "(-1/2) / (1 + 3/2*y)"
+    # a negative leading entry stays: (1 - y) t / ((1 - y)(2 + y)) cancels to t / (2 + y)
+    g = RatFunc((_ONE - _Y) * _T, (_ONE - _Y) * (_ONE * 2 + _Y))
+    _assert_canonical_pair(g)
+    assert g.pair == (_T, (2, 1))
+    h = RatFunc(_T, _ONE * 2 - _Y)
+    assert h.pair == (_T, (2, -1)) and h.render() == "(1/2*t) / (1 - 1/2*y)"
+
+
+def test_ratfunc_same_denominator_sum_cancels():
+    f = RatFunc(1, _ONE + _Y) + RatFunc(_Y, _ONE + _Y)
+    assert f == RatFunc.one() and f.pair == (_ONE, (1,)) and f.render() == "1"
+    g = RatFunc(_T, _ONE - _Y * _Y) - RatFunc(_Y * _T, _ONE - _Y * _Y)
+    assert g.pair == (_T, (1, 1)) and g.render() == "(t) / (1 + y)"
+
+
+def test_to_bilaurent_over_a_constant_denominator():
+    f = RatFunc(_Y, 3)
+    assert f.pair == (_Y, (3,))
+    assert f.to_bilaurent() == BiLaurent({(1, 0): Fraction(1, 3)})
+    assert f.render() == "1/3*y" and f.den == _ONE
+

@@ -131,6 +131,16 @@ def test_dt_exit_codes(capsys, kronecker1):
     assert code == 3  # non-generic theta: genericity failure
 
 
+def test_dt_non_generic_theta_message_prints_plain_rationals(capsys, tmp_path):
+    path = tmp_path / "q3.quiver"
+    path.write_text("vertices 3\narrow 1 2 2\narrow 2 3 2\narrow 1 3 1\n")
+    for theta, shown in (("0,0,0", "(0, 0, 0)"), ("1/2,-1/2,0", "(1/2, -1/2, 0)")):
+        code = main(["dt", "--quiver", str(path), "--gamma", "1,1,1", "--theta", theta])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: theta = {shown} is not generic for gamma = (1, 1, 1)\n"
+
+
 def test_dt_missing_file(capsys):
     code, _ = _run(capsys, ["dt", "--quiver", "/nonexistent", "--gamma", "1,1", "--theta", "1,-1"])
     assert code == 2
