@@ -1,4 +1,4 @@
-"""The flow tree formula, evaluated one split at a time.
+"""The flow tree formula, evaluated one split at a time, in integers.
 
 The sum over decorated trees on J factorizes over the split at the root.
 With l the lowest index of J and R = J minus L,
@@ -25,7 +25,21 @@ The evaluator runs in integers: the rules read only signs, so F(J, c theta)
 = F(J, theta) for c > 0, and omega's positive multiples give the same step.
 theta and omega start as integer multiples; at a = theta(e_L), b =
 omega(e_L, e_R) the step carries |b| theta' = |b| theta - sgn(b) a
-iota_{e_J} omega, integers with the signs and zeros of theta'.
+iota_{e_J} omega, integers with the signs and zeros of theta'.  The
+samplers pass the integer draws of ``lattice`` straight in: omega = W / d
+runs as W, a start point B / d as B, and alpha as its lcm multiple.
+``flow_tree_sum``, the public entry, checks its input and scales theta and
+the form by the lcm of their denominators.
+
+The scalar bracket kappa(eta(e_L, e_R)) x y runs on Laurent polynomials
+packed into ints (``scalar_context``): the value at mask J is the sum of
+c_i 2^(w (i + E_J)), E_J the sum of |eta_ij| over the pairs i < j in J,
+which bounds its exponents.  Under y -> 2^w the int arithmetic is exact,
+so only the decode, once per evaluation, needs the digits to fit: |c_i|
+< 2^(w - 1).  The value is a signed sum of at most (2r - 3)!! trees, each
+a product of r - 1 factors kappa(p) with |kappa(p)|_1 = |p| <= P = E_I, so
+2^(w - 1) > P^(r - 1) (2r - 3)!! bounds its l1 norm and fixes w.  P is
+taken as at least 1, so that w >= 2 and a single leaf, 1, fits too.
 
 Evaluation doubles as the certificate of a sampled perturbation: every
 sign argument the sum depends on is read, and a zero one raises
@@ -36,11 +50,23 @@ ZeroSignArgument.  The samplers therefore evaluate the draws of
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
-from .algebra import LaurentPoly, kappa
+from .algebra import LaurentPoly
 from .errors import InvalidInput, SamplingTimeout, ZeroSignArgument
-from .lattice import AuxLattice, beta_draws, check_skew, omega_draws, subset_sums
+from .lattice import (
+    AuxLattice,
+    _beta_numerators,
+    _beta_point,
+    _omega_numerators,
+    check_skew,
+    integral_multiple,
+    subset_sums,
+)
+
+
+def _identity(value, mask):
+    return value
 
 
 class BracketContext:
@@ -52,21 +78,64 @@ class BracketContext:
     (x, mask_x) with (y, mask_y), additive in the grading, and must vanish
     whenever the pairing vanishes (the compatibility the graded Lie
     algebras here always satisfy).  Values need ``+`` and unary ``-``.
+    ``decode(value, mask)`` turns the sum graded at e_mask into the value
+    returned; it is the identity unless given.
     """
 
-    def __init__(self, bracket, leaf_values: dict, zero):
+    def __init__(self, bracket, leaf_values: dict, zero, decode=_identity):
         self.bracket = bracket
         self.leaf_values = dict(leaf_values)
         self.zero = zero
+        self.decode = decode
 
 
-def scalar_context(r: int) -> BracketContext:
-    """The bracket [a, b] = kappa(eta(e_A, e_B)) a b on Laurent polynomials."""
-    return BracketContext(
-        bracket=lambda x, y, mx, my, pairing: kappa(pairing) * x * y,
-        leaf_values={i: LaurentPoly.const(1) for i in range(1, r + 1)},
-        zero=LaurentPoly.zero(),
-    )
+def _packed_kappa(p: int, width: int) -> int:
+    """kappa(p) times y^(|p| - 1) at y = 2^width: its exponents 0, 2, .., 2|p| - 2."""
+    n = abs(p)
+    sign = 1 if (n % 2 == 0) == (p > 0) else -1
+    return sign * (((1 << 2 * width * n) - 1) // ((1 << 2 * width) - 1))
+
+
+def scalar_context(eta) -> BracketContext:
+    """The bracket [a, b] = kappa(eta(e_A, e_B)) a b on Laurent polynomials packed into ints.
+
+    A value graded at e_J is the int sum of c_i 2^(w (i + E_J)) for the
+    polynomial sum of c_i y^i; the bracket of the values at L and R is
+    kappa(p) x y, packed, shifted left by w (E_J - E_L - E_R - |p| + 1) >= w,
+    and ``decode`` reads the balanced base-2^w digits back into a
+    LaurentPoly (see the module docstring for w).  ``eta`` is the integer
+    skew form the evaluation runs on.
+    """
+    eta = [[int(x) for x in row] for row in eta]
+    r = len(eta)
+    spans = [0]  # E_J per mask J: E of J plus bit h adds the |eta_hj| over j in J
+    for h, row in enumerate(eta):
+        spans += [e + s for e, s in zip(spans, subset_sums([abs(x) for x in row[:h]]))]
+    bound = max(spans[-1], 1) ** max(r - 1, 0) * prod(range(1, 2 * r - 2, 2))  # (2r - 3)!!
+    width = bound.bit_length() + 1
+    kappas = {}
+
+    def bracket(x, y, mask_x, mask_y, pairing):
+        k = kappas.get(pairing)
+        if k is None:
+            k = kappas[pairing] = _packed_kappa(pairing, width)
+        offset = spans[mask_x | mask_y] - spans[mask_x] - spans[mask_y] - abs(pairing) + 1
+        return k * x * y << width * offset
+
+    def decode(value, mask):
+        digits, exp = {}, -spans[mask]
+        low, half = (1 << width) - 1, 1 << (width - 1)
+        while value:
+            digit = value & low
+            if digit >= half:
+                digit -= low + 1
+            if digit:
+                digits[exp] = digit
+            value = (value - digit) >> width
+            exp += 1
+        return LaurentPoly(digits)
+
+    return BracketContext(bracket, dict.fromkeys(range(1, r + 1), 1), 0, decode)
 
 
 def _evaluate(mask: int, theta, eta, form, ctx: BracketContext, tables: dict):
@@ -115,8 +184,9 @@ def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
     ``eta``, ``form`` and ``alpha0`` need one size, int or Fraction entries
     (integral ones in eta), and skew matrices (the sum reads M(e_L, e_R) as
     M(e_L, e_J)); ``indices`` must be nonempty and distinct in 1..len(eta).
-    Else InvalidInput.  The value is graded at e_J for J = indices.  Raises
-    ZeroSignArgument when a sign argument the sum depends on vanishes.
+    Else InvalidInput.  A scalar ``ctx`` is ``scalar_context(eta)``.  The
+    value is graded at e_J for J = indices.  Raises ZeroSignArgument when a
+    sign argument the sum depends on vanishes.
     """
     check_skew(eta, "eta")
     check_skew(form, "form")
@@ -140,7 +210,8 @@ def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
         raise InvalidInput("indices must not be empty")
     c = lcm(*(x.denominator for x in to_scale))
     form = [[int(x * c) for x in row] for row in form]
-    return _evaluate(mask, [int(x * c) for x in alpha0], eta, form, ctx, {})
+    value = _evaluate(mask, [int(x * c) for x in alpha0], eta, form, ctx, {})
+    return ctx.decode(value, mask)
 
 
 def flow_tree_map(aux: AuxLattice, ctx: BracketContext, alpha0, form):
@@ -149,24 +220,29 @@ def flow_tree_map(aux: AuxLattice, ctx: BracketContext, alpha0, form):
 
 
 def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
-    """(draw, F) for the first draw of the seed on which the scalar formula evaluates.
+    """(numerators, d, F) for the first draw of the seed on which the scalar formula evaluates.
 
-    In omega mode the draws are perturbed forms and the flow starts at
-    alpha; in beta mode they are perturbed start points and the form is
-    eta itself.
+    The draw is numerators / d.  In omega mode the draws are perturbed
+    forms and the flow starts at alpha; in beta mode they are perturbed
+    start points and the form is eta itself.  Both go to the evaluator as
+    the integers ``lattice`` draws them in.
     """
+    eta = [[int(x) for x in row] for row in aux.eta]
     if mode == "omega":
-        candidates = ((omega, aux.alpha, omega) for omega in omega_draws(aux, seed, budget))
+        alpha = integral_multiple(aux.alpha)[1]
+        candidates = ((form, d, alpha, form) for form, d in _omega_numerators(aux, seed, budget))
     elif mode == "beta":
-        candidates = ((beta, beta, aux.eta) for beta in beta_draws(aux, seed, budget))
+        candidates = ((start, d, start, eta) for start, d in _beta_numerators(aux, seed, budget))
     else:
         raise InvalidInput(f"unknown perturbation mode {mode!r}")
-    ctx = scalar_context(aux.r)
-    for draw, start, form in candidates:
+    ctx = scalar_context(eta)
+    full = (1 << aux.r) - 1
+    for draw, d, start, form in candidates:
         try:
-            return draw, flow_tree_map(aux, ctx, start, form)
+            value = _evaluate(full, start, eta, form, ctx, {})
         except ZeroSignArgument:
             continue
+        return draw, d, ctx.decode(value, full)
     raise SamplingTimeout(f"no admissible {mode} after {budget} resamples")
 
 
@@ -177,8 +253,8 @@ def sample_omega(aux: AuxLattice, seed: int, budget: int = 1000) -> tuple:
     the flow tree map at alpha certifies membership in U_{I,alpha}.
     Deterministic per seed.
     """
-    omega, _ = _first_generic(aux, "omega", seed, budget)
-    return omega
+    form, d, _ = _first_generic(aux, "omega", seed, budget)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in form)
 
 
 def sample_beta(aux: AuxLattice, seed: int, budget: int = 1000):
@@ -187,8 +263,8 @@ def sample_beta(aux: AuxLattice, seed: int, budget: int = 1000):
     alpha itself is drawn first, then dyadic perturbations of it that keep
     its signs (``lattice.beta_draws``).
     """
-    beta, _ = _first_generic(aux, "beta", seed, budget)
-    return beta
+    start, d, _ = _first_generic(aux, "beta", seed, budget)
+    return _beta_point(aux, start, d)
 
 
 def flow_tree_scalar(
@@ -201,5 +277,4 @@ def flow_tree_scalar(
     perturbation of alpha with eta itself.  The two modes and all seeds
     produce the identical polynomial.
     """
-    _, value = _first_generic(aux, mode, seed, budget)
-    return value
+    return _first_generic(aux, mode, seed, budget)[2]

@@ -3,22 +3,30 @@
 The auxiliary rank-r lattice attached to a decomposition gamma_1..gamma_r
 is handled through bitmasks: the subset J of {1..r} is the integer whose
 bit i-1 is set iff i is in J, and e_J is the corresponding {0,1}-vector.
-All genericity conditions are exact sign tests on rationals.  Every
-pairing of {0,1}-vectors in the package is read off subset sums, one
-addition per mask (``subset_sums``).  For a skew M, M(e_L, e_L) = 0, so
+All genericity conditions are exact sign tests.  Every pairing of
+{0,1}-vectors in the package is read off subset sums, one addition per
+mask (``subset_sums``).  For a skew M, M(e_L, e_L) = 0, so
 M(e_L, e_{J minus L}) = M(e_L, e_J): the pairings of the splits of J are
 the subset sums of the row sums M(e_i, e_J), which is how ``flow`` and
-the joint check read them.  The draws read the pairings of disjoint
-masks A, B as subset sums of the row e_A^T M over the complement of A
+the joint check read them.  The pairings of disjoint masks A, B are
+subset sums of the row e_A^T M over the complement of A
 (``_disjoint_pairings``, 3^r entries).
 
-The perturbation draws here are dyadic rationals with denominator
-PERTURBATION_DENOM * 2^k, drawn as integer numerators so that their sign
-tests are integer comparisons; ``Philox`` draws them, numpy's Philox
-``integers`` stream in pure Python.  ``AuxLattice`` requires an integral eta,
-which fixes the shrink exponent of the omega draws in closed form (8 for
-r <= 27, see ``omega_draws``); ``flow`` certifies a draw by evaluating the
-flow tree formula on it and moves to the next one on failure.
+The perturbation draws are dyadic, with denominator PERTURBATION_DENOM *
+2^k, and are drawn and yielded as integers: an omega draw eta + 2^-k R as
+W = d eta + R over d = PERTURBATION_DENOM 2^k (``_omega_numerators``), a
+start point as its numerators over one denominator
+(``_beta_numerators``).  ``flow`` evaluates these integers as they are,
+since positive multiples of omega and of the start point give the same
+flow; ``omega_draws`` and ``beta_draws`` divide them out into Fractions
+for callers that want the rational draws.  ``Philox`` draws them, numpy's
+Philox ``integers`` stream in pure Python.  ``AuxLattice`` requires an
+integral eta, which fixes the shrink exponent of the omega draws in closed
+form (k0 = 8 for r <= 27), and makes one table of W-pairings at k0 the
+whole U^eta test: W(A, B) is R(A, B) where eta(A, B) = 0 and has eta's
+sign elsewhere (see ``_omega_numerators``).  ``flow`` certifies a draw by
+evaluating the flow tree formula on it and moves to the next one on
+failure.
 """
 
 from __future__ import annotations
@@ -176,8 +184,8 @@ class AuxLattice:
     """Rank-r lattice with basis mapped to the classes gamma_1..gamma_r.
 
     eta is the pulled-back integer skew form (int or integral Fraction
-    entries), alpha the pulled-back stability point; alpha(e_I) = 0 always
-    holds.
+    entries), alpha the pulled-back stability point (int or Fraction
+    entries); alpha(e_I) = 0 always holds.
     """
 
     gammas: tuple
@@ -186,12 +194,16 @@ class AuxLattice:
 
     def __post_init__(self):
         r = len(self.gammas)
+        if r == 0:
+            raise InvalidInput("the auxiliary lattice needs at least one class")
         if len(self.eta) != r or len(self.alpha) != r:
             raise InvalidInput("inconsistent auxiliary lattice data")
         check_skew(self.eta, "eta")
-        entries = [x for row in self.eta for x in row]
-        if not all(isinstance(x, (int, Fraction)) and x.denominator == 1 for x in entries):
+        if not all(isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1
+                   for row in self.eta for x in row):
             raise InvalidInput("eta needs integral entries")
+        if not all(isinstance(a, (int, Fraction)) for a in self.alpha):
+            raise InvalidInput("alpha needs int or Fraction entries")
         if sum(self.alpha) != 0:
             raise NotOnWall("alpha does not annihilate e_I")
 
@@ -250,6 +262,12 @@ def build_aux(q: Quiver, gammas, theta) -> AuxLattice:
     return pullback.aux(gammas)
 
 
+def integral_multiple(values) -> tuple:
+    """(c, c values) for int or Fraction values, c the lcm of their denominators."""
+    c = math.lcm(*(x.denominator for x in values))
+    return c, [int(x * c) for x in values]
+
+
 def alpha_is_generic(eta, alpha) -> bool:
     """Finite (I, eta)-genericity test on a point of the wall e_I^perp.
 
@@ -259,7 +277,7 @@ def alpha_is_generic(eta, alpha) -> bool:
     r = len(alpha)
     full = (1 << r) - 1
     pairings = subset_sums([sum(column) for column in zip(*eta)])  # eta(e_I, e_m) per mask m
-    sums = subset_sums(alpha)
+    sums = subset_sums(integral_multiple(alpha)[1])  # zero exactly where alpha's sums are
     return not any(pairings[m] != 0 and sums[m] == 0 for m in range(1, full))
 
 
@@ -386,65 +404,100 @@ def _shrink_exponent(base, pert, start: int = 8) -> int:
     return max(start, worst.bit_length())
 
 
-def omega_draws(aux: AuxLattice, seed: int, budget: int = 1000):
-    """Yield candidate forms omega = eta + 2^-k R in U^eta, deterministically per seed.
+def _omega_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
+    """Yield each candidate omega = eta + 2^-k R as (W, d): omega = W / d, all in ints.
 
-    Each of the ``budget`` resamples draws a random dyadic skew R with
-    entries in [-1, 1].  An R that vanishes on a disjoint pair where eta
-    does is skipped (omega must not vanish there, U_J); otherwise the draw
-    is yielded at 2^-k for eight successive k from k0.  Membership in
-    U_{I,alpha} is left to the caller.
+    Each of the ``budget`` resamples draws a skew R of numerators in
+    [-PERTURBATION_DENOM, PERTURBATION_DENOM], and the draw at shrink
+    exponent k is W = d eta + R with d = PERTURBATION_DENOM 2^k, yielded
+    for eight successive k from k0.
 
     k0 keeps the signs of eta on every pair where eta is nonzero (U^eta).
     In e_A^T R e_B the terms R_ij with i and j both in A & B cancel (R is
-    skew), which leaves ab + bc + ca <= r^2 / 3 terms of size at most 1,
-    with a = |A - B|, b = |B - A| and c = |A & B|; a nonzero integer
-    eta-pairing is at least 1.  So 2^k0 > floor(r^2 / 3) suffices, and
-    k0 = 8 for r <= 27.
+    skew), which leaves ab + bc + ca <= r^2 / 3 terms of size at most
+    PERTURBATION_DENOM, with a = |A - B|, b = |B - A| and c = |A & B|; a
+    nonzero integer eta-pairing is at least 1.  So 2^k0 > floor(r^2 / 3)
+    suffices, and k0 = 8 for r <= 27.
+
+    omega must not vanish on a disjoint pair where eta does (U_J).  One
+    table of the pairings of W at k0 tests that: where eta(A, B) = 0 the
+    pairing W(A, B) is R(A, B), and where eta(A, B) != 0 it has the sign
+    of eta, since |R(A, B)| < d |eta(A, B)|.  So a resample is skipped
+    exactly when some disjoint W-pairing at k0 is zero, and then no k
+    would do.  Membership in U_{I,alpha} is left to the caller.
     """
     if not alpha_is_generic(aux.eta, aux.alpha):
         raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
     r = aux.r
-    eta = aux.eta
+    eta = [[int(x) for x in row] for row in aux.eta]
     k0 = max(8, (r * r // 3).bit_length())
-    zeros = [i for i, e in enumerate(_disjoint_pairings(eta, r)) if e == 0]
     for attempt in range(budget):
-        rng = _rng(seed, "omega", attempt)
-        numer = _random_skew(rng, r)
-        pairings = _disjoint_pairings(numer, r)
-        if any(pairings[i] == 0 for i in zeros):
-            continue
+        numer = _random_skew(_rng(seed, "omega", attempt), r)
         for k in range(k0, k0 + 8):
-            denom = PERTURBATION_DENOM << k
-            yield tuple(
-                tuple(eta[i][j] + Fraction(numer[i][j], denom) for j in range(r)) for i in range(r)
-            )
+            d = PERTURBATION_DENOM << k
+            form = [[d * e + x for e, x in zip(eta_row, row)] for eta_row, row in zip(eta, numer)]
+            if k == k0 and 0 in _disjoint_pairings(form, r):
+                break
+            yield form, d
+
+
+def omega_draws(aux: AuxLattice, seed: int, budget: int = 1000):
+    """Yield candidate forms omega = eta + 2^-k R in U^eta, deterministically per seed.
+
+    The draws of ``_omega_numerators``, each as a matrix of Fractions.
+    """
+    for form, d in _omega_numerators(aux, seed, budget):
+        yield tuple(tuple(Fraction(x, d) for x in row) for row in form)
+
+
+def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
+    """Yield each candidate start point as (B, d): the point is B / d, all in ints.
+
+    alpha = A / c comes first, with c the lcm of its denominators.  Each
+    of the ``budget`` resamples then draws delta, numerators over
+    PERTURBATION_DENOM with delta(e_I) = 0, and yields alpha +
+    delta / (PERTURBATION_DENOM 2^k) as B = PERTURBATION_DENOM 2^k A +
+    c delta over d = c PERTURBATION_DENOM 2^k, for eight successive k from
+    the smallest that keeps the signs of alpha on every subset where alpha
+    is nonzero.
+    """
+    if not alpha_is_generic(aux.eta, aux.alpha):
+        raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
+    r = aux.r
+    c, alpha = integral_multiple(aux.alpha)
+    yield alpha, c
+
+    # alpha over the draws' denominator, so that the numerators compare directly
+    alpha_base = [a * PERTURBATION_DENOM for a in subset_sums(alpha)]
+    for attempt in range(budget):
+        rng = _rng(seed, "beta", attempt)
+        delta = [c * _random_numerator(rng) for _ in range(r - 1)]
+        delta.append(-sum(delta))
+        k0 = _shrink_exponent(alpha_base, subset_sums(delta))
+        for k in range(k0, k0 + 8):
+            scale = PERTURBATION_DENOM << k
+            yield [scale * a + x for a, x in zip(alpha, delta)], c * scale
+
+
+def _beta_point(aux: AuxLattice, start, d) -> tuple:
+    """The start point start / d of a draw of ``_beta_numerators``.
+
+    alpha's own draw, the only one over alpha's lcm denominator, is alpha
+    as given; the others are tuples of Fractions.
+    """
+    if d == integral_multiple(aux.alpha)[0]:
+        return tuple(aux.alpha)
+    return tuple(Fraction(x, d) for x in start)
 
 
 def beta_draws(aux: AuxLattice, seed: int, budget: int = 1000):
     """Yield candidate start points in e_I^perp: alpha, then perturbations of it.
 
-    After alpha itself, each of the ``budget`` resamples draws a random
-    dyadic delta with delta(e_I) = 0, scaled by 2^-k from the smallest
-    value that keeps the signs of alpha on every subset where alpha is
-    nonzero and yielded at eight successive halvings of it.  Deterministic
+    The draws of ``_beta_numerators`` (see ``_beta_point``).  Deterministic
     per seed.
     """
-    if not alpha_is_generic(aux.eta, aux.alpha):
-        raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
-    r = aux.r
-    yield tuple(aux.alpha)
-
-    # alpha over the draws' denominator, so that the numerators compare directly
-    alpha_base = [a * PERTURBATION_DENOM for a in subset_sums(aux.alpha)]
-    for attempt in range(budget):
-        rng = _rng(seed, "beta", attempt)
-        delta = [_random_numerator(rng) for _ in range(r - 1)]
-        delta.append(-sum(delta))
-        k0 = _shrink_exponent(alpha_base, subset_sums(delta))
-        for k in range(k0, k0 + 8):
-            denom = PERTURBATION_DENOM << k
-            yield tuple(a + Fraction(d, denom) for a, d in zip(aux.alpha, delta))
+    for start, d in _beta_numerators(aux, seed, budget):
+        yield _beta_point(aux, start, d)
 
 
 # ---------------------------------------------------------------------------

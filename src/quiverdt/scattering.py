@@ -427,7 +427,8 @@ def check_joint_consistency(
     if r < 2:
         raise InvalidInput("joint consistency needs r >= 2")
     eta = aux.eta
-    omega, value_at_alpha = _first_generic(aux, "omega", seed, budget)
+    form, d, value_at_alpha = _first_generic(aux, "omega", seed, budget)
+    omega = tuple(tuple(Fraction(x, d) for x in row) for row in form)
     alpha = aux.alpha
     full = (1 << r) - 1
     # M(e_m, e_I) per mask m; for a skew M it equals M(e_m, e_{I minus m})
@@ -458,7 +459,7 @@ def check_joint_consistency(
     def point_at(t: Fraction):
         return tuple(a + t * v for a, v in zip(alpha, iota))
 
-    ctx = scalar_context(r)
+    ctx = scalar_context(eta)
 
     def wall_value(point) -> LaurentPoly:
         return flow_tree_sum(range(1, r + 1), eta, ctx, point, omega)

@@ -1,19 +1,32 @@
 """Tree-by-tree reference for the flow tree formula.
 
-``quiverdt.flow`` evaluates the formula one split at a time.  This module
+``quiverdt.flow`` evaluates the formula one split at a time, with the
+scalar bracket on Laurent polynomials packed into ints.  This module
 keeps the definition it is checked against: the discrete flow run down one
 decorated tree, its epsilon-signs, and the bracket value of one tree,
-summed over the eta-supported trees that ``enumerate_trees`` yields.
+summed over the eta-supported trees that ``enumerate_trees`` yields, and
+the scalar bracket kappa(eta(e_A, e_B)) a b on ``LaurentPoly`` values.
 """
 
 from fractions import Fraction
 
+from quiverdt.algebra import LaurentPoly, kappa
 from quiverdt.errors import DivisionByZeroPairing, ZeroSignArgument
+from quiverdt.flow import BracketContext
 from quiverdt.trees import enumerate_trees, interior_vertices, is_leaf, leaf_mask
 
 from lattice_reference import mask_indices, mask_sum, pair_masks
 
 ROOT = None
+
+
+def laurent_context(r: int) -> BracketContext:
+    """The scalar bracket [a, b] = kappa(eta(e_A, e_B)) a b on LaurentPoly values."""
+    return BracketContext(
+        bracket=lambda x, y, mx, my, pairing: kappa(pairing) * x * y,
+        leaf_values={i: LaurentPoly.const(1) for i in range(1, r + 1)},
+        zero=LaurentPoly.zero(),
+    )
 
 
 def _contraction(matrix, mask: int):

@@ -70,7 +70,7 @@ def test_criterion_2_flow_well_definedness():
         fa = {leaf_mask(k): v for k, v in run_flow(tree, aux.alpha, omega).items() if k}
         fb = {leaf_mask(k): v for k, v in run_flow(flipped, aux.alpha, omega).items() if k}
         assert fa == fb
-        ctx = scalar_context(r)
+        ctx = scalar_context(aux.eta)
         wa = tree_weight(tree, aux.eta, aux.alpha, omega, ctx)
         wb = tree_weight(flipped, aux.eta, aux.alpha, omega, ctx)
         assert (wa is None and wb is None) or wa == wb

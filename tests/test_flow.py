@@ -6,15 +6,19 @@ of quiverdt.flow is checked against.
 
 import random
 from fractions import Fraction
-from itertools import islice
+from itertools import combinations, islice
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quiverdt.algebra import LaurentPoly, kappa
 from quiverdt.checks import random_instance
 from quiverdt.errors import DivisionByZeroPairing, InvalidInput, ZeroSignArgument
 from quiverdt.flow import (
     BracketContext,
+    _first_generic,
     flow_tree_map,
     flow_tree_scalar,
     flow_tree_sum,
@@ -28,6 +32,7 @@ from quiverdt.trees import is_leaf, leaf_mask
 from flow_reference import (
     _sign_arguments,
     epsilon_signs,
+    laurent_context,
     reads_zero_sign,
     run_flow,
     supported_trees,
@@ -117,7 +122,7 @@ def test_child_relabeling_invariance():
         by_mask_a = {leaf_mask(k): v for k, v in fa.items() if k is not None}
         by_mask_b = {leaf_mask(k): v for k, v in fb.items() if k is not None}
         assert by_mask_a == by_mask_b
-        ctx = scalar_context(r)
+        ctx = laurent_context(r)
         wa = tree_weight(tree, aux.eta, aux.alpha, omega, ctx)
         wb = tree_weight(flipped, aux.eta, aux.alpha, omega, ctx)
         assert (wa is None and wb is None) or wa == wb
@@ -184,7 +189,7 @@ def test_scalar_invalid_mode():
 def test_flow_tree_map_scalar_reduction():
     aux = K2_AUX
     omega = sample_omega(aux, 0)
-    ctx = scalar_context(aux.r)
+    ctx = scalar_context(aux.eta)
     assert flow_tree_map(aux, ctx, aux.alpha, omega) == flow_tree_scalar(aux, seed=0)
 
 
@@ -202,7 +207,7 @@ def test_flow_tree_map_abelian_vanishes():
 def test_flow_tree_sum_subset():
     aux = K2_AUX
     omega = sample_omega(aux, 0)
-    ctx = scalar_context(aux.r)
+    ctx = scalar_context(aux.eta)
     # the pair {1, 3} has eta-pairing 2; its two-leaf sum is a rank-2 coefficient
     value = flow_tree_sum([1, 3], aux.eta, ctx, aux.alpha, omega)
     assert value in (LaurentPoly.zero(), -kappa(2))
@@ -217,9 +222,9 @@ def test_flow_tree_sum_rejects_a_non_skew_matrix(which):
     bent[0][1] += 1
     eta, form = (bent, omega) if which == "eta" else (aux.eta, bent)
     with pytest.raises(InvalidInput, match=f"{which} is not skew-symmetric"):
-        flow_tree_sum(range(1, 4), eta, scalar_context(3), aux.alpha, form)
+        flow_tree_sum(range(1, 4), eta, scalar_context(aux.eta), aux.alpha, form)
     with pytest.raises(InvalidInput):
-        flow_tree_sum(range(1, 4), aux.eta, scalar_context(3), aux.alpha, omega[:2])
+        flow_tree_sum(range(1, 4), aux.eta, scalar_context(aux.eta), aux.alpha, omega[:2])
 
 
 ETA3 = K2_AUX.eta
@@ -243,12 +248,12 @@ HALF = Fraction(1, 2)
 )
 def test_flow_tree_sum_rejects_malformed_input(indices, eta, alpha0, form):
     with pytest.raises(InvalidInput):
-        flow_tree_sum(indices, eta, scalar_context(3), alpha0, form)
+        flow_tree_sum(indices, eta, scalar_context(ETA3), alpha0, form)
 
 
 def test_flow_tree_sum_accepts_integral_fraction_eta():
     eta = tuple(tuple(Fraction(x) for x in row) for row in ETA3)
-    ctx = scalar_context(3)
+    ctx = scalar_context(ETA3)
     omega = sample_omega(K2_AUX, 0)
     assert flow_tree_sum(range(1, 4), eta, ctx, K2_AUX.alpha, omega) == flow_tree_sum(
         range(1, 4), ETA3, ctx, K2_AUX.alpha, omega
@@ -261,12 +266,13 @@ def _reference_check(r, eta, start, form) -> bool:
     The evaluator raises ZeroSignArgument exactly where the tree-by-tree
     walk reads a zero sign argument, and otherwise equals tree_sum.
     """
-    ctx = scalar_context(r)
+    ctx = scalar_context(eta)
     if reads_zero_sign(r, eta, start, form):
         with pytest.raises(ZeroSignArgument):
             flow_tree_sum(range(1, r + 1), eta, ctx, start, form)
         return True
-    assert flow_tree_sum(range(1, r + 1), eta, ctx, start, form) == tree_sum(r, eta, start, form, ctx)
+    expected = tree_sum(r, eta, start, form, laurent_context(r))
+    assert flow_tree_sum(range(1, r + 1), eta, ctx, start, form) == expected
     return False
 
 
@@ -318,7 +324,7 @@ def test_recursion_through_a_negative_omega_split():
     assert not _reference_check(3, eta, start, eta)
     # A positive multiple of the start point has the same value (the evaluator scales by 3).
     for scale in (1, Fraction(1, 3)):
-        value = flow_tree_sum(range(1, 4), eta, scalar_context(3), [scale * x for x in start], eta)
+        value = flow_tree_sum(range(1, 4), eta, scalar_context(eta), [scale * x for x in start], eta)
         assert value == LaurentPoly({-3: -1, -1: -2, 1: -2, 3: -1})
 
 
@@ -336,7 +342,7 @@ def test_split_evaluator_equals_tree_sum(r, mode):
     for trial in range(4 if r < 6 else 2 if r == 6 else 1):
         aux = random_instance(r, 700 + 10 * r + trial)
         start, form = _perturbation(aux, mode, trial)
-        expected = tree_sum(r, aux.eta, start, form, scalar_context(r))
+        expected = tree_sum(r, aux.eta, start, form, laurent_context(r))
         assert flow_tree_scalar(aux, mode=mode, seed=trial) == expected
 
 
@@ -400,8 +406,78 @@ def test_zero_sibling_value_still_checks_signs():
     # signs; the evaluator must still read the right side and refuse.
     eta = ((0, 1, 1, 2), (-1, 0, 1, 0), (-1, -1, 0, 2), (-2, 0, -2, 0))
     start = _fr(2, 2, 2, -6)
-    ctx = scalar_context(4)
-    ctx.leaf_values[1] = LaurentPoly.zero()
+    ctx = scalar_context(eta)
+    ctx.leaf_values[1] = 0  # the packed zero
     eta_frac = tuple(tuple(Fraction(x) for x in row) for row in eta)
     with pytest.raises(ZeroSignArgument):
         flow_tree_sum(range(1, 5), eta, ctx, start, eta_frac)
+
+
+# ---------------------------------------------------------------------------
+# the packed scalar bracket against the LaurentPoly one
+
+
+def _l1_bound(eta) -> int:
+    """P^(r - 1) (2r - 3)!!, P the sum of |eta_ij| over i < j: the bound the packing width rests on."""
+    r = len(eta)
+    p = sum(abs(eta[i][j]) for i in range(r) for j in range(i + 1, r))
+    return p ** (r - 1) * prod(range(1, 2 * r - 2, 2))
+
+
+def _restrict(values, indices):
+    """The entries (or the square block) of values on the 1-based indices."""
+    if isinstance(values[0], (tuple, list)):
+        return tuple(tuple(values[i - 1][j - 1] for j in indices) for i in indices)
+    return tuple(values[i - 1] for i in indices)
+
+
+@pytest.mark.parametrize("mode", ["omega", "beta"])
+def test_packed_scalar_on_sub_index_sets_equals_the_tree_reference(mode):
+    # flow_tree_sum on J reads only the bits of J, so it is the tree sum of
+    # the lattice restricted to J; the packed values are graded at masks with gaps.
+    compared = 0
+    for r in (4, 5):
+        for trial in range(3):
+            aux = random_instance(r, 900 + 10 * r + trial)
+            start, form = _perturbation(aux, mode, trial)
+            ctx = scalar_context(aux.eta)
+            for size in range(2, r):
+                for indices in combinations(range(1, r + 1), size):
+                    eta_j, start_j, form_j = (_restrict(x, indices) for x in (aux.eta, start, form))
+                    if reads_zero_sign(size, eta_j, start_j, form_j):
+                        with pytest.raises(ZeroSignArgument):
+                            flow_tree_sum(indices, aux.eta, ctx, start, form)
+                        continue
+                    expected = tree_sum(size, eta_j, start_j, form_j, laurent_context(size))
+                    assert flow_tree_sum(indices, aux.eta, ctx, start, form) == expected
+                    compared += bool(expected)
+    assert compared > 0
+
+
+def test_packed_scalar_decodes_a_leaf_under_a_zero_eta():
+    # P = 0 bounds no tree sum above 0, yet a single index still sums to 1
+    zero = ((0, 0), (0, 0))
+    assert flow_tree_sum([2], zero, scalar_context(zero), (0, 0), zero) == LaurentPoly.const(1)
+    assert flow_tree_sum([1, 2], zero, scalar_context(zero), (0, 0), zero) == LaurentPoly.zero()
+
+
+def test_packed_scalar_decodes_coefficients_above_2_16():
+    # r = 10: the LaurentPoly bracket run through the same evaluator at the certified draw
+    aux = random_instance(10, 0)
+    form, _, value = _first_generic(aux, "omega", 0, 1000)
+    assert max(abs(c) for c in value.terms().values()) > 1 << 16
+    assert value == flow_tree_sum(range(1, 11), aux.eta, laurent_context(10), aux.alpha, form)
+    assert sum(abs(c) for c in value.terms().values()) <= _l1_bound(aux.eta)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(r=st.integers(2, 5), seed=st.integers(0, 10 ** 6), mode=st.sampled_from(["omega", "beta"]))
+def test_packed_scalar_stays_within_its_l1_bound(r, seed, mode):
+    aux = random_instance(r, seed)
+    start, form = _perturbation(aux, mode, seed)
+    value = flow_tree_scalar(aux, mode=mode, seed=seed)
+    assert sum(abs(c) for c in value.terms().values()) <= _l1_bound(aux.eta)
+    assert value == tree_sum(r, aux.eta, start, form, laurent_context(r))
+    # the packed bracket also serves the tree-by-tree walk: decode its sum once
+    ctx = scalar_context(aux.eta)
+    assert ctx.decode(tree_sum(r, aux.eta, start, form, ctx), (1 << r) - 1) == value

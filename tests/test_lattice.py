@@ -280,6 +280,17 @@ def test_skewform_validation():
         SkewForm(((0, 1), (1, 0)))
 
 
+@pytest.mark.parametrize("alpha", [("1", "-1"), (0.5, -0.5), (1, None)])
+def test_aux_lattice_rejects_an_alpha_entry_that_is_not_int_or_fraction(alpha):
+    with pytest.raises(InvalidInput, match="alpha needs int or Fraction entries"):
+        AuxLattice(gammas=((1, 0), (0, 1)), eta=((0, 1), (-1, 0)), alpha=alpha)
+
+
+def test_aux_lattice_rejects_an_empty_decomposition():
+    with pytest.raises(InvalidInput, match="at least one class"):
+        AuxLattice(gammas=(), eta=(), alpha=())
+
+
 def test_lattice_imports_neither_flow_nor_trees():
     code = (
         "import sys, quiverdt.lattice\n"
@@ -415,7 +426,8 @@ def test_sampling_timeout_after_the_reference_budget(monkeypatch, mode):
         calls.append(args)
         raise ZeroSignArgument("rejected")
 
-    monkeypatch.setattr(quiverdt_flow, "flow_tree_map", rejecting)
+    # both modes evaluate each draw through this one entry
+    monkeypatch.setattr(quiverdt_flow, "_evaluate", rejecting)
     sampler = sample_omega if mode == "omega" else sample_beta
     with pytest.raises(SamplingTimeout):
         sampler(aux, SKIP_SEED, budget=3)

@@ -266,7 +266,7 @@ def test_flow_tree_map_matches_joint_wall_value():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
     report = check_joint_consistency(aux, seed=3)
     omega = sample_omega(aux, 3)
-    ctx = scalar_context(aux.r)
+    ctx = scalar_context(aux.eta)
     assert flow_tree_map(aux, ctx, aux.alpha, omega) == report.wall_value
 
 
