@@ -19,7 +19,7 @@ _EXPORTS = {
         "integer_from_rational",
         "rational_from_integer",
     ),
-    "flow": ("BracketContext", "flow_tree_map", "flow_tree_scalar", "sample_beta", "sample_omega"),
+    "flow": ("BracketContext", "flow_tree_scalar"),
     "lattice": (
         "AuxLattice",
         "Quiver",

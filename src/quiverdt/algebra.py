@@ -164,10 +164,6 @@ class LaurentPoly(_Laurent):
                     del out[e]
         return LaurentPoly._of(out)
 
-    def eval_at_one(self):
-        """Value at y = 1 (the sum of all coefficients)."""
-        return sum(self._terms.values())
-
     def is_integral(self) -> bool:
         return all(Fraction(c).denominator == 1 for c in self._terms.values())
 
@@ -226,13 +222,6 @@ class BiLaurent(_Laurent):
         if k == 1:
             return self
         return BiLaurent._of({(k * ye, k * te): c for (ye, te), c in self._terms.items()})
-
-    def smallest_term(self):
-        """Lexicographically smallest (y-exp, t-exp) term as ((ye, te), coeff)."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no terms")
-        e = min(self._terms)
-        return e, self._terms[e]
 
 
 def _dense(p: dict):

@@ -28,11 +28,20 @@ from .scattering import reconstruct_rank2
 from .trees import enumerate_trees, render_tree, tree_count
 
 MAX_R = 10  # largest r of `trees` and `check perturbation|joints`: their work grows at least as 3^r
+# Largest --degree of `oracle rank2` and --max-dim of `check oracle`.  On one 2-vCPU
+# machine, `oracle rank2 --m 3` took 1.9, 4.4, 5.1 and 11.3 s CPU at degree 11 to 14;
+# `check oracle --m 3` took 3.9, 16.6 and 111 s at max-dim 9 to 11, and over 300 s at 12.
+MAX_DEGREE = 13
 
 
 def _check_r(r: int) -> None:
     if not 1 <= r <= MAX_R:
         raise InvalidInput(f"r must be between 1 and {MAX_R}, got {r}")
+
+
+def _check_degree(flag: str, value: int) -> None:
+    if value > MAX_DEGREE:
+        raise InvalidInput(f"{flag} must be at most {MAX_DEGREE}, got {value}")
 
 
 def _check_count(flag: str, value: int) -> None:
@@ -152,6 +161,7 @@ def _cmd_dt(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
+    _check_degree("--degree", args.degree)
     if (args.quiver is None) == (args.m is None):
         raise InvalidInput("give exactly one of --quiver or --m")
     if args.quiver is not None:
@@ -175,6 +185,8 @@ def _cmd_check(args, out) -> int:
     _check_count("--trials", args.trials)
     if args.kind in ("perturbation", "joints"):
         _check_r(args.r)
+    if args.kind == "oracle":
+        _check_degree("--max-dim", args.max_dim)
     if args.kind == "perturbation":
         result = checks.check_perturbation(args.r, args.trials, seed=args.seed)
     elif args.kind == "joints":

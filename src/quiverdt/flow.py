@@ -26,7 +26,7 @@ The evaluator runs in integers: the rules read only signs, so F(J, c theta)
 theta and omega start as integer multiples; at a = theta(e_L), b =
 omega(e_L, e_R) the step carries |b| theta' = |b| theta - sgn(b) a
 iota_{e_J} omega, integers with the signs and zeros of theta'.  The
-samplers pass the integer draws of ``lattice`` straight in: omega = W / d
+sampler passes the integer draws of ``lattice`` straight in: omega = W / d
 runs as W, a start point B / d as B, and alpha as its lcm multiple.
 ``flow_tree_sum``, the public entry, checks its input and scales theta and
 the form by the lcm of their denominators.
@@ -43,8 +43,9 @@ taken as at least 1, so that w >= 2 and a single leaf, 1, fits too.
 
 Evaluation doubles as the certificate of a sampled perturbation: every
 sign argument the sum depends on is read, and a zero one raises
-ZeroSignArgument.  The samplers therefore evaluate the draws of
-``lattice`` in turn and keep the first evaluation that goes through.
+ZeroSignArgument.  ``_first_generic``, the one sampler, therefore
+evaluates the integer draws of ``lattice`` in turn and returns the first
+one whose evaluation goes through, as (W, d, F) with the draw W / d.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .errors import InvalidInput, SamplingTimeout, ZeroSignArgument
 from .lattice import (
     AuxLattice,
     _beta_numerators,
-    _beta_point,
     _omega_numerators,
     check_skew,
     integral_multiple,
@@ -214,18 +214,15 @@ def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
     return ctx.decode(value, mask)
 
 
-def flow_tree_map(aux: AuxLattice, ctx: BracketContext, alpha0, form):
-    """Flow tree map of the full index set, a graded value at e_I."""
-    return flow_tree_sum(range(1, aux.r + 1), aux.eta, ctx, alpha0, form)
-
-
 def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
     """(numerators, d, F) for the first draw of the seed on which the scalar formula evaluates.
 
     The draw is numerators / d.  In omega mode the draws are perturbed
     forms and the flow starts at alpha; in beta mode they are perturbed
     start points and the form is eta itself.  Both go to the evaluator as
-    the integers ``lattice`` draws them in.
+    the integers ``lattice`` draws them in.  The omega draws already lie in
+    U^eta, and an evaluation that goes through certifies U_{I,alpha}; the
+    first beta draw is alpha itself, as A / c with c its lcm denominator.
     """
     eta = [[int(x) for x in row] for row in aux.eta]
     if mode == "omega":
@@ -244,27 +241,6 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
             continue
         return draw, d, ctx.decode(value, full)
     raise SamplingTimeout(f"no admissible {mode} after {budget} resamples")
-
-
-def sample_omega(aux: AuxLattice, seed: int, budget: int = 1000) -> tuple:
-    """The first omega = eta + 2^-k R drawn for the seed on which the flow evaluates.
-
-    The draws of ``lattice.omega_draws`` already lie in U^eta; evaluating
-    the flow tree map at alpha certifies membership in U_{I,alpha}.
-    Deterministic per seed.
-    """
-    form, d, _ = _first_generic(aux, "omega", seed, budget)
-    return tuple(tuple(Fraction(x, d) for x in row) for row in form)
-
-
-def sample_beta(aux: AuxLattice, seed: int, budget: int = 1000):
-    """The first start point drawn for the seed on which the eta-flow evaluates.
-
-    alpha itself is drawn first, then dyadic perturbations of it that keep
-    its signs (``lattice.beta_draws``).
-    """
-    start, d, _ = _first_generic(aux, "beta", seed, budget)
-    return _beta_point(aux, start, d)
 
 
 def flow_tree_scalar(

@@ -13,20 +13,18 @@ subset sums of the row e_A^T M over the complement of A
 (``_disjoint_pairings``, 3^r entries).
 
 The perturbation draws are dyadic, with denominator PERTURBATION_DENOM *
-2^k, and are drawn and yielded as integers: an omega draw eta + 2^-k R as
-W = d eta + R over d = PERTURBATION_DENOM 2^k (``_omega_numerators``), a
-start point as its numerators over one denominator
-(``_beta_numerators``).  ``flow`` evaluates these integers as they are,
-since positive multiples of omega and of the start point give the same
-flow; ``omega_draws`` and ``beta_draws`` divide them out into Fractions
-for callers that want the rational draws.  ``Philox`` draws them, numpy's
+2^k, and exist only as integers: an omega draw eta + 2^-k R is W = d eta
++ R over d = PERTURBATION_DENOM 2^k (``_omega_numerators``), a start point
+its numerators over one denominator (``_beta_numerators``).  ``flow``
+evaluates these integers as they are, since positive multiples of omega
+and of the start point give the same flow.  ``Philox`` draws them, numpy's
 Philox ``integers`` stream in pure Python.  ``AuxLattice`` requires an
 integral eta, which fixes the shrink exponent of the omega draws in closed
 form (k0 = 8 for r <= 27), and makes one table of W-pairings at k0 the
 whole U^eta test: W(A, B) is R(A, B) where eta(A, B) = 0 and has eta's
-sign elsewhere (see ``_omega_numerators``).  ``flow`` certifies a draw by
-evaluating the flow tree formula on it and moves to the next one on
-failure.
+sign elsewhere (see ``_omega_numerators``).  ``flow._first_generic``
+certifies a draw by evaluating the flow tree formula on it and moves to
+the next one on failure.
 """
 
 from __future__ import annotations
@@ -441,15 +439,6 @@ def _omega_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
             yield form, d
 
 
-def omega_draws(aux: AuxLattice, seed: int, budget: int = 1000):
-    """Yield candidate forms omega = eta + 2^-k R in U^eta, deterministically per seed.
-
-    The draws of ``_omega_numerators``, each as a matrix of Fractions.
-    """
-    for form, d in _omega_numerators(aux, seed, budget):
-        yield tuple(tuple(Fraction(x, d) for x in row) for row in form)
-
-
 def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
     """Yield each candidate start point as (B, d): the point is B / d, all in ints.
 
@@ -477,27 +466,6 @@ def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
         for k in range(k0, k0 + 8):
             scale = PERTURBATION_DENOM << k
             yield [scale * a + x for a, x in zip(alpha, delta)], c * scale
-
-
-def _beta_point(aux: AuxLattice, start, d) -> tuple:
-    """The start point start / d of a draw of ``_beta_numerators``.
-
-    alpha's own draw, the only one over alpha's lcm denominator, is alpha
-    as given; the others are tuples of Fractions.
-    """
-    if d == integral_multiple(aux.alpha)[0]:
-        return tuple(aux.alpha)
-    return tuple(Fraction(x, d) for x in start)
-
-
-def beta_draws(aux: AuxLattice, seed: int, budget: int = 1000):
-    """Yield candidate start points in e_I^perp: alpha, then perturbations of it.
-
-    The draws of ``_beta_numerators`` (see ``_beta_point``).  Deterministic
-    per seed.
-    """
-    for start, d in _beta_numerators(aux, seed, budget):
-        yield _beta_point(aux, start, d)
 
 
 # ---------------------------------------------------------------------------

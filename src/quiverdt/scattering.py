@@ -177,15 +177,6 @@ class GradedLie:
         return g
 
 
-def assoc_log_product(alg: GradedLie, crossings) -> dict:
-    """log of the ordered product of exp(sign * element) over the crossings.
-
-    Crossings are given in the order they are met; later crossings
-    multiply on the left.
-    """
-    return alg.log(alg.path_product(crossings))
-
-
 # ---------------------------------------------------------------------------
 # rank-2 diagrams
 
@@ -324,7 +315,7 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
         target = alg.group_mul(alg.exp(lie_scale(element, -s)), target)
 
     diagram = Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=scattered)
-    final = assoc_log_product(alg, _loop_rays(diagram))
+    final = alg.log(alg.path_product(_loop_rays(diagram)))
     if final:
         raise ConsistencyFailure(f"reconstruction left a nonzero loop product: {final}")
     return diagram
@@ -372,7 +363,6 @@ class JointRecord:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    passed: bool
     wall_value: LaurentPoly
     joints: tuple
 
@@ -427,14 +417,14 @@ def check_joint_consistency(
     if r < 2:
         raise InvalidInput("joint consistency needs r >= 2")
     eta = aux.eta
+    # omega = form / d; the flow runs on the integer form, a positive multiple
     form, d, value_at_alpha = _first_generic(aux, "omega", seed, budget)
-    omega = tuple(tuple(Fraction(x, d) for x in row) for row in form)
     alpha = aux.alpha
     full = (1 << r) - 1
     # M(e_m, e_I) per mask m; for a skew M it equals M(e_m, e_{I minus m})
     eta_sums = subset_sums([sum(row) for row in eta])
-    omega_rows = [sum(row) for row in omega]
-    omega_sums = subset_sums(omega_rows)
+    form_rows = [sum(row) for row in form]
+    form_sums = subset_sums(form_rows)
     alpha_sums = subset_sums(alpha)
 
     located = []
@@ -443,10 +433,10 @@ def check_joint_consistency(
         eta_p = eta_sums[m1]
         if eta_p == 0:
             continue
-        omega_p = omega_sums[m1]
-        t = Fraction(alpha_sums[m1], 1) / omega_p
+        form_p = form_sums[m1]
+        t = Fraction(alpha_sums[m1] * d, form_p)  # alpha(e_m1) / omega(e_m1, e_I)
         if t > 0:
-            located.append((t, m1, m2, omega_p, eta_p))
+            located.append((t, m1, m2, form_p, eta_p))
     located.sort(key=lambda rec: rec[0])
     for i in range(1, len(located)):
         if located[i][0] == located[i - 1][0]:
@@ -454,7 +444,7 @@ def check_joint_consistency(
                 "tied joints on the flow half-line", joint=located[i][0]
             )
 
-    iota = tuple(-v for v in omega_rows)  # omega(e_I, e_j) = -omega(e_j, e_I)
+    iota = tuple(Fraction(-v, d) for v in form_rows)  # omega(e_I, e_j) = -omega(e_j, e_I)
 
     def point_at(t: Fraction):
         return tuple(a + t * v for a, v in zip(alpha, iota))
@@ -462,7 +452,7 @@ def check_joint_consistency(
     ctx = scalar_context(eta)
 
     def wall_value(point) -> LaurentPoly:
-        return flow_tree_sum(range(1, r + 1), eta, ctx, point, omega)
+        return flow_tree_sum(range(1, r + 1), eta, ctx, point, form)
 
     def segment_value(lo: Fraction, hi) -> LaurentPoly:
         if hi is None:
@@ -492,14 +482,14 @@ def check_joint_consistency(
 
     joints = []
     jump_total = LaurentPoly.zero()
-    for i, (t, m1, m2, omega_p, eta_p) in enumerate(located, start=1):
+    for i, (t, m1, m2, form_p, eta_p) in enumerate(located, start=1):
         x = point_at(t)
         if _has_triple_split(x, r):
             raise ConsistencyFailure("triple split at a joint", joint=t)
-        left_sum = flow_tree_sum([j + 1 for j in range(r) if m1 >> j & 1], eta, ctx, x, omega)
-        right_sum = flow_tree_sum([j + 1 for j in range(r) if m2 >> j & 1], eta, ctx, x, omega)
+        left_sum = flow_tree_sum([j + 1 for j in range(r) if m1 >> j & 1], eta, ctx, x, form)
+        right_sum = flow_tree_sum([j + 1 for j in range(r) if m2 >> j & 1], eta, ctx, x, form)
         predicted = kappa(eta_p) * left_sum * right_sum
-        if omega_p > 0:
+        if form_p > 0:
             predicted = -predicted
         measured = segment_values[i - 1] - segment_values[i]
         if measured != predicted:
@@ -515,4 +505,4 @@ def check_joint_consistency(
     if jump_total != value_at_alpha:
         raise ConsistencyFailure("telescoped jumps do not reassemble the wall value")
 
-    return ConsistencyReport(passed=True, wall_value=value_at_alpha, joints=tuple(joints))
+    return ConsistencyReport(wall_value=value_at_alpha, joints=tuple(joints))

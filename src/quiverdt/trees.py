@@ -19,13 +19,6 @@ def is_leaf(node) -> bool:
     return not isinstance(node, tuple)
 
 
-def leaf_mask(node) -> int:
-    """Bitmask of leaf indices below the vertex (bit i-1 for leaf i)."""
-    if is_leaf(node):
-        return 1 << (node - 1)
-    return leaf_mask(node[0]) | leaf_mask(node[1])
-
-
 def enumerate_trees(indices):
     """Yield each isomorphism class of J-decorated binary tree exactly once."""
     idx = sorted(set(indices))
@@ -63,32 +56,6 @@ def tree_count(r: int) -> int:
     for k in range(1, r):
         count *= 2 * k - 1
     return count
-
-
-def interior_vertices(tree):
-    """Interior vertices (pair encodings) in root-to-leaves preorder."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if is_leaf(node):
-            continue
-        yield node
-        stack.append(node[1])
-        stack.append(node[0])
-
-
-def vertex_count(tree) -> int:
-    """Number of vertices including the root."""
-    def walk(node):
-        if is_leaf(node):
-            return 1
-        return 1 + walk(node[0]) + walk(node[1])
-
-    return 1 + walk(tree)
-
-
-def edge_count(tree) -> int:
-    return vertex_count(tree) - 1
 
 
 def render_tree(tree) -> str:

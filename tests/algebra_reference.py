@@ -77,7 +77,7 @@ def canonical_pair(num: BiLaurent, den: BiLaurent):
         return num, BiLaurent.const(1)
     if len(den.terms()) > 1:
         num, den = _cancel_gcd(num, den)
-    (ye, _), c = den.smallest_term()
+    (ye, _), c = min(den.terms().items())  # the lexicographically smallest term
     if ye or c != 1:
         scale = BiLaurent.monomial(-ye, 0, Fraction(1) / c)
         num, den = num * scale, den * scale

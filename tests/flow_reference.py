@@ -6,6 +6,8 @@ keeps the definition it is checked against: the discrete flow run down one
 decorated tree, its epsilon-signs, and the bracket value of one tree,
 summed over the eta-supported trees that ``enumerate_trees`` yields, and
 the scalar bracket kappa(eta(e_A, e_B)) a b on ``LaurentPoly`` values.
+A tree is the encoding of ``quiverdt.trees``; ``leaf_mask`` and
+``interior_vertices`` read its vertices.
 """
 
 from fractions import Fraction
@@ -13,11 +15,30 @@ from fractions import Fraction
 from quiverdt.algebra import LaurentPoly, kappa
 from quiverdt.errors import DivisionByZeroPairing, ZeroSignArgument
 from quiverdt.flow import BracketContext
-from quiverdt.trees import enumerate_trees, interior_vertices, is_leaf, leaf_mask
+from quiverdt.trees import enumerate_trees, is_leaf
 
 from lattice_reference import mask_indices, mask_sum, pair_masks
 
 ROOT = None
+
+
+def leaf_mask(node) -> int:
+    """Bitmask of leaf indices below the vertex (bit i-1 for leaf i)."""
+    if is_leaf(node):
+        return 1 << (node - 1)
+    return leaf_mask(node[0]) | leaf_mask(node[1])
+
+
+def interior_vertices(tree):
+    """Interior vertices (pair encodings) in root-to-leaves preorder."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if is_leaf(node):
+            continue
+        yield node
+        stack.append(node[1])
+        stack.append(node[0])
 
 
 def laurent_context(r: int) -> BracketContext:

@@ -1,9 +1,10 @@
 """Dynkin-series BCH products: the reference the group model is checked against.
 
 quiverdt.scattering folds path-ordered products in an associative model
-of the unipotent group (``assoc_log_product``).  The functions here
-compute the same logarithms from the Lie bracket alone, by the Dynkin
-expansion of log(exp(a) exp(b)), which the finite grading truncates.
+of the unipotent group, whose log is ``alg.log(alg.path_product(...))``.
+The functions here compute the same logarithms from the Lie bracket
+alone, by the Dynkin expansion of log(exp(a) exp(b)), which the finite
+grading truncates.
 ``SquareFreeLie`` is the {0,1}-vector grading of the auxiliary lattice,
 where any bracket leaving the square-free region vanishes.
 """

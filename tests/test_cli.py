@@ -212,6 +212,28 @@ def test_check_r_out_of_range_exits_2(capsys, monkeypatch, kind, r):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["oracle", "rank2", "--m", "2", "--degree"], "--degree"),
+        (["check", "oracle", "--m", "2", "--max-dim"], "--max-dim"),
+    ],
+)
+def test_degree_above_its_bound_exits_2(capsys, monkeypatch, argv, flag):
+    from quiverdt import checks, cli
+
+    # the bound is checked before any work, and the bound itself passes it
+    monkeypatch.setattr(checks, "check_oracle", None)
+    monkeypatch.setattr(checks, "rank2_initial_data", None)
+    for value in (cli.MAX_DEGREE + 1, 10 ** 20):
+        code = main([*argv, str(value)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", captured.out
+        assert captured.err == f"error: {flag} must be at most {cli.MAX_DEGREE}, got {value}\n", captured.err
+    assert cli.MAX_DEGREE >= 13  # every degree CI and the tests run
+    cli._check_degree(flag, cli.MAX_DEGREE)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check", "multicover", "--trials", "-1"],

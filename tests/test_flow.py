@@ -19,20 +19,18 @@ from quiverdt.errors import DivisionByZeroPairing, InvalidInput, ZeroSignArgumen
 from quiverdt.flow import (
     BracketContext,
     _first_generic,
-    flow_tree_map,
     flow_tree_scalar,
     flow_tree_sum,
-    sample_beta,
-    sample_omega,
     scalar_context,
 )
-from quiverdt.lattice import AuxLattice, Quiver, beta_draws, build_aux, omega_draws
-from quiverdt.trees import is_leaf, leaf_mask
+from quiverdt.lattice import AuxLattice, Quiver, _beta_numerators, _omega_numerators, build_aux
+from quiverdt.trees import is_leaf
 
 from flow_reference import (
     _sign_arguments,
     epsilon_signs,
     laurent_context,
+    leaf_mask,
     reads_zero_sign,
     run_flow,
     supported_trees,
@@ -49,6 +47,11 @@ def _fr(*values):
 K2_AUX = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
 
 
+def _omega(aux, seed):
+    """W of the omega = W / d the sampler certifies: a positive multiple, so the same flow."""
+    return _first_generic(aux, "omega", seed, 1000)[0]
+
+
 def test_flow_root_is_alpha():
     omega = ((Fraction(0), Fraction(2)), (Fraction(-2), Fraction(0)))
     fa = run_flow((1, 2), _fr(1, -1), omega)
@@ -62,7 +65,7 @@ def test_flow_rank2_lands_at_origin():
 
 
 def test_flow_wall_membership_rank3():
-    omega = sample_omega(K2_AUX, 0)
+    omega = _omega(K2_AUX, 0)
     for tree in supported_trees(K2_AUX.eta, 3):
         if is_leaf(tree):
             continue
@@ -111,7 +114,7 @@ def test_child_relabeling_invariance():
     for trial in range(30):
         r = rng.randrange(2, 6)
         aux = random_instance(r, trial + 500)
-        omega = sample_omega(aux, 0)
+        omega = _omega(aux, 0)
         supported = [t for t in supported_trees(aux.eta, r) if not is_leaf(t)]
         if not supported:
             continue
@@ -132,7 +135,7 @@ def test_flow_linearity_in_alpha():
     # theta depends linearly on the start point for a fixed form.
     rng = random.Random(21)
     eta = K2_AUX.eta
-    omega = sample_omega(K2_AUX, 1)
+    omega = _omega(K2_AUX, 1)
     trees = [t for t in supported_trees(eta, 3) if not is_leaf(t)]
     for _ in range(10):
         a1 = [Fraction(rng.randrange(-5, 6)) for _ in range(2)]
@@ -188,25 +191,25 @@ def test_scalar_invalid_mode():
 
 def test_flow_tree_map_scalar_reduction():
     aux = K2_AUX
-    omega = sample_omega(aux, 0)
+    omega = _omega(aux, 0)
     ctx = scalar_context(aux.eta)
-    assert flow_tree_map(aux, ctx, aux.alpha, omega) == flow_tree_scalar(aux, seed=0)
+    assert flow_tree_sum(range(1, 4), aux.eta, ctx, aux.alpha, omega) == flow_tree_scalar(aux, seed=0)
 
 
 def test_flow_tree_map_abelian_vanishes():
     aux = K2_AUX
-    omega = sample_omega(aux, 0)
+    omega = _omega(aux, 0)
     ctx = BracketContext(
         bracket=lambda x, y, mx, my, pairing: LaurentPoly.zero(),
         leaf_values={i: LaurentPoly.const(1) for i in range(1, 4)},
         zero=LaurentPoly.zero(),
     )
-    assert flow_tree_map(aux, ctx, aux.alpha, omega) == LaurentPoly.zero()
+    assert flow_tree_sum(range(1, 4), aux.eta, ctx, aux.alpha, omega) == LaurentPoly.zero()
 
 
 def test_flow_tree_sum_subset():
     aux = K2_AUX
-    omega = sample_omega(aux, 0)
+    omega = _omega(aux, 0)
     ctx = scalar_context(aux.eta)
     # the pair {1, 3} has eta-pairing 2; its two-leaf sum is a rank-2 coefficient
     value = flow_tree_sum([1, 3], aux.eta, ctx, aux.alpha, omega)
@@ -217,7 +220,7 @@ def test_flow_tree_sum_subset():
 def test_flow_tree_sum_rejects_a_non_skew_matrix(which):
     # the evaluator reads M(e_L, e_R) as M(e_L, e_J), which needs M skew
     aux = K2_AUX
-    omega = sample_omega(aux, 0)
+    omega = _omega(aux, 0)
     bent = [list(row) for row in omega]
     bent[0][1] += 1
     eta, form = (bent, omega) if which == "eta" else (aux.eta, bent)
@@ -254,7 +257,7 @@ def test_flow_tree_sum_rejects_malformed_input(indices, eta, alpha0, form):
 def test_flow_tree_sum_accepts_integral_fraction_eta():
     eta = tuple(tuple(Fraction(x) for x in row) for row in ETA3)
     ctx = scalar_context(ETA3)
-    omega = sample_omega(K2_AUX, 0)
+    omega = _omega(K2_AUX, 0)
     assert flow_tree_sum(range(1, 4), eta, ctx, K2_AUX.alpha, omega) == flow_tree_sum(
         range(1, 4), ETA3, ctx, K2_AUX.alpha, omega
     )
@@ -284,13 +287,14 @@ def test_split_evaluator_off_dyadic_points():
     for r in (3, 4, 5):
         for trial in range(2):
             aux = random_instance(r, 600 + 10 * r + trial)
-            omega = sample_omega(aux, trial)
+            omega, d, _ = _first_generic(aux, "omega", trial, 1000)
+            # d (eta + (omega - eta) / 3), with omega = W / d as the integer W
             third = tuple(
-                tuple(e + (w - e) / 3 for e, w in zip(eta_row, row))
+                tuple(d * e + Fraction(w - d * e, 3) for e, w in zip(eta_row, row))
                 for eta_row, row in zip(aux.eta, omega)
             )
             for form in (omega, third):
-                iota = [-sum(row) for row in form]  # omega(e_I, e_j)
+                iota = [Fraction(-sum(row), d) for row in form]  # omega(e_I, e_j) for omega = form / d
                 for t in (Fraction(1, 3), Fraction(2, 7)):
                     point = tuple(a + t * v for a, v in zip(aux.alpha, iota))
                     evaluated += not _reference_check(r, aux.eta, point, form)
@@ -303,8 +307,9 @@ def test_zero_sign_arguments_raise_as_in_the_reference():
     raised = evaluated = 0
     for r, seed in ((3, 0), (4, 2), (4, 32), (5, 3)):
         aux = random_instance(r, seed)
-        candidates = [(aux.alpha, omega) for omega in islice(omega_draws(aux, 0), 16)]
-        candidates += [(beta, aux.eta) for beta in islice(beta_draws(aux, 0), 16)]
+        # the integer draws W and B of omega = W / d and beta = B / d: the same flow
+        candidates = [(aux.alpha, omega) for omega, _ in islice(_omega_numerators(aux, 0), 16)]
+        candidates += [(beta, aux.eta) for beta, _ in islice(_beta_numerators(aux, 0), 16)]
         for start, form in candidates:
             if _reference_check(r, aux.eta, start, form):
                 raised += 1
@@ -329,11 +334,15 @@ def test_recursion_through_a_negative_omega_split():
 
 
 def _perturbation(aux, mode, seed):
-    """(start, form) of the perturbation flow_tree_scalar certifies for the seed."""
+    """(start, form) of the perturbation flow_tree_scalar certifies for the seed.
+
+    The draw W / d is passed as its integer W, which gives the same flow.
+    """
+    draw = _first_generic(aux, mode, seed, 1000)[0]
     if mode == "omega":
-        return aux.alpha, sample_omega(aux, seed)
+        return aux.alpha, draw
     eta_frac = tuple(tuple(Fraction(x) for x in row) for row in aux.eta)
-    return sample_beta(aux, seed), eta_frac
+    return draw, eta_frac
 
 
 @pytest.mark.parametrize("mode", ["omega", "beta"])
@@ -393,7 +402,7 @@ def test_split_evaluator_equals_tree_sum_free_bracket(mode):
             aux = random_instance(r, 800 + 10 * r + trial)
             start, form = _perturbation(aux, mode, trial)
             ctx = _words_context(r)
-            value = flow_tree_map(aux, ctx, start, form)
+            value = flow_tree_sum(range(1, r + 1), aux.eta, ctx, start, form)
             assert value == tree_sum(r, aux.eta, start, form, ctx)
             nonzero += bool(value)
     assert nonzero > 0

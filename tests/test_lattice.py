@@ -20,30 +20,30 @@ from quiverdt.errors import (
     SamplingTimeout,
     ZeroSignArgument,
 )
-from quiverdt.flow import sample_beta, sample_omega
+from quiverdt.flow import _first_generic
 from quiverdt.lattice import (
     MAX_VERTICES,
     AuxLattice,
     Quiver,
     SkewForm,
+    _beta_numerators,
     _disjoint_pairings,
+    _omega_numerators,
     _rng,
     _shrink_exponent,
     alpha_is_generic,
-    beta_draws,
     build_aux,
     euler_skew,
     is_gamma_generic,
-    omega_draws,
     parse_covector,
     parse_dimvec,
     parse_quiver,
     subset_sums,
 )
-from quiverdt.trees import enumerate_trees, is_leaf, leaf_mask
+from quiverdt.trees import enumerate_trees, is_leaf
 
 import lattice_reference
-from flow_reference import epsilon_signs, run_flow, supported_trees
+from flow_reference import epsilon_signs, leaf_mask, run_flow, supported_trees
 from lattice_reference import mask_sum, nonempty_masks, pair_masks
 
 
@@ -204,43 +204,52 @@ def _postcondition_omega(aux, omega):
     assert _flow_conditions_hold(tree_list, aux.alpha, omega)
 
 
+# The sampler's draw is W / d; the postconditions read only signs, so they
+# run on the integer W (a positive multiple of the draw).
+
+
 def test_sample_omega_rank2():
     aux = AuxLattice(gammas=((1, 0), (0, 1)), eta=((0, 1), (-1, 0)), alpha=(Fraction(1), Fraction(-1)))
-    omega = sample_omega(aux, 0)
+    omega = _first_generic(aux, "omega", 0, 1000)[0]
     assert omega[0][1] > 0
     _postcondition_omega(aux, omega)
 
 
 def test_sample_omega_rank3_degenerate_pair():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
-    omega = sample_omega(aux, 0)
+    omega = _first_generic(aux, "omega", 0, 1000)[0]
     assert omega[0][1] != 0  # eta(e1, e2) = 0 but U_J needs a nonzero pairing
     _postcondition_omega(aux, omega)
 
 
 def test_sample_omega_deterministic():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
-    assert sample_omega(aux, 3) == sample_omega(aux, 3)
-    assert sample_omega(aux, 3) != sample_omega(aux, 4)
+    (w3, d3, _), (w3_again, d3_again, _), (w4, d4, _) = (
+        _first_generic(aux, "omega", seed, 1000) for seed in (3, 3, 4)
+    )
+    assert (w3, d3) == (w3_again, d3_again)
+    # W3 / d3 != W4 / d4, compared over the common denominator
+    assert [[x * d4 for x in row] for row in w3] != [[x * d3 for x in row] for row in w4]
 
 
 def test_sample_omega_rejects_degenerate_alpha():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
     bad = AuxLattice(gammas=aux.gammas, eta=aux.eta, alpha=(Fraction(0),) * 3)
     with pytest.raises(NotGenericAlpha):
-        sample_omega(bad, 0)
+        _first_generic(bad, "omega", 0, 1000)
     with pytest.raises(NotGenericAlpha):
-        sample_beta(bad, 0)
+        _first_generic(bad, "beta", 0, 1000)
 
 
 def test_sample_beta_rank2_returns_alpha():
     aux = AuxLattice(gammas=((1, 0), (0, 1)), eta=((0, 1), (-1, 0)), alpha=(Fraction(1), Fraction(-1)))
-    assert sample_beta(aux, 0) == (1, -1)
+    beta, d, _ = _first_generic(aux, "beta", 0, 1000)
+    assert (beta, d) == ([1, -1], 1)
 
 
 def test_sample_beta_rank3_postconditions():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
-    beta = sample_beta(aux, 0)
+    beta, d, _ = _first_generic(aux, "beta", 0, 1000)
     assert sum(beta) == 0
     # keeps alpha's signs on every subset where alpha is nonzero
     for mask in nonempty_masks(aux.r):
@@ -252,7 +261,7 @@ def test_sample_beta_rank3_postconditions():
     eta_frac = tuple(tuple(Fraction(x) for x in row) for row in aux.eta)
     assert _flow_conditions_hold(supported_trees(aux.eta, aux.r), beta, eta_frac)
     # beta is not alpha here: the exact flow from alpha collapses to zero
-    assert beta != aux.alpha
+    assert beta != [d * a for a in aux.alpha]
 
 
 def test_parse_quiver_and_vectors():
@@ -303,6 +312,21 @@ def test_lattice_imports_neither_flow_nor_trees():
     assert out == "[]\n"
 
 
+def test_every_export_resolves_lazily_and_star_import_works():
+    # A fresh process, so that every name goes through the package's __getattr__.
+    code = (
+        "import quiverdt\n"
+        "assert not set(quiverdt.__all__) & set(vars(quiverdt))\n"
+        "from quiverdt import *\n"
+        "print(sorted(n for n in quiverdt.__all__ if globals()[n].__module__ != 'quiverdt.' + quiverdt._MODULE_OF[n]))\n"
+    )
+    src = Path(quiverdt_lattice.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # the subset-sum tables against the pair-by-pair reference (tests/lattice_reference.py)
 
@@ -333,6 +357,18 @@ def _random_aux(rng, r: int, max_entry: int, zero_block: bool):
 
 def _first(draws, n: int = 16):
     return list(itertools.islice(draws, n))
+
+
+def omega_draws(aux, seed: int, budget: int = 1000):
+    """The draws W / d of ``_omega_numerators`` as matrices of Fractions."""
+    for form, d in _omega_numerators(aux, seed, budget):
+        yield tuple(tuple(Fraction(x, d) for x in row) for row in form)
+
+
+def beta_draws(aux, seed: int, budget: int = 1000):
+    """The draws B / d of ``_beta_numerators`` as tuples of Fractions."""
+    for start, d in _beta_numerators(aux, seed, budget):
+        yield tuple(Fraction(x, d) for x in start)
 
 
 # Block-diagonal eta whose draws for seed 1903 skip the first resample: its
@@ -373,7 +409,7 @@ def test_draws_equal_reference_when_the_zero_disjoint_skip_fires():
 
 
 def test_draws_equal_reference_when_the_shrink_exponent_exceeds_8():
-    # With integer eta, k stays 8 for r <= 27 (see omega_draws), and the
+    # With integer eta, k stays 8 for r <= 27 (see _omega_numerators), and the
     # lattice refuses any other eta; a tiny alpha is what pushes the beta
     # draws' k past 8.
     tiny = Fraction(1, 10 ** 6)
@@ -428,7 +464,6 @@ def test_sampling_timeout_after_the_reference_budget(monkeypatch, mode):
 
     # both modes evaluate each draw through this one entry
     monkeypatch.setattr(quiverdt_flow, "_evaluate", rejecting)
-    sampler = sample_omega if mode == "omega" else sample_beta
     with pytest.raises(SamplingTimeout):
-        sampler(aux, SKIP_SEED, budget=3)
+        _first_generic(aux, mode, SKIP_SEED, 3)
     assert len(calls) == expected

@@ -14,7 +14,6 @@ from quiverdt.scattering import (
     GradedLie,
     _loop_rays,
     _sort_ccw,
-    assoc_log_product,
     check_joint_consistency,
     dt_from_rank2,
     lie_add,
@@ -84,7 +83,7 @@ def test_bch_against_associative_model():
         a = _random_element(RANK2, rng)
         b = _random_element(RANK2, rng)
         dynkin = bch_log_product(RANK2, a, b)
-        assoc = assoc_log_product(RANK2, [(b, 1), (a, 1)])
+        assoc = RANK2.log(RANK2.path_product([(b, 1), (a, 1)]))
         assert _lie_eq(dynkin, assoc)
 
 
@@ -93,7 +92,7 @@ def test_h_mode_bch_against_associative_model():
     alg = square_free(eta)
     a = {(1, 0, 0): 1, (0, 1, 0): Fraction(1, 2)}
     b = {(0, 0, 1): 2, (0, 1, 0): -1}
-    assert _lie_eq(bch_log_product(alg, a, b), assoc_log_product(alg, [(b, 1), (a, 1)]))
+    assert _lie_eq(bch_log_product(alg, a, b), alg.log(alg.path_product([(b, 1), (a, 1)])))
 
 
 def test_path_ordered_products_agree_in_both_gradings():
@@ -105,13 +104,13 @@ def test_path_ordered_products_agree_in_both_gradings():
     assert len(h_classes) == 15
     for trial in range(3):
         crossings = [(_random_element(RANK2, rng), (-1) ** k) for k in range(3)]
-        assert _lie_eq(path_ordered_product(RANK2, crossings), assoc_log_product(RANK2, crossings))
+        assert _lie_eq(path_ordered_product(RANK2, crossings), RANK2.log(RANK2.path_product(crossings)))
         crossings = []
         for k in range(3):
             n = h_classes[int(rng.integers(0, len(h_classes)))]
             m = h_classes[int(rng.integers(0, len(h_classes)))]
             crossings.append(({n: int(rng.integers(1, 4)), m: Fraction(1, 2)}, (-1) ** k))
-        assert _lie_eq(path_ordered_product(h_mode, crossings), assoc_log_product(h_mode, crossings))
+        assert _lie_eq(path_ordered_product(h_mode, crossings), h_mode.log(h_mode.path_product(crossings)))
 
 
 def test_coincident_loop_rays_rejected():
@@ -247,27 +246,26 @@ def test_dt_from_rank2_read_offs():
 def test_joint_consistency_rank2():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (0, 1)], (1, -1))
     report = check_joint_consistency(aux, seed=0)
-    assert report.passed and len(report.joints) == 1
+    assert len(report.joints) == 1
     assert report.wall_value == -kappa(2)
 
 
 def test_joint_consistency_rank3_kronecker2():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
     for seed in range(5):
-        report = check_joint_consistency(aux, seed=seed)
-        assert report.passed
+        check_joint_consistency(aux, seed=seed)
 
 
 def test_flow_tree_map_matches_joint_wall_value():
     # the graded-bracket evaluation at the start point is exactly the wall
     # value that the joint check telescopes
-    from quiverdt.flow import flow_tree_map, sample_omega, scalar_context
+    from quiverdt.flow import _first_generic, flow_tree_sum, scalar_context
 
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
     report = check_joint_consistency(aux, seed=3)
-    omega = sample_omega(aux, 3)
+    form = _first_generic(aux, "omega", 3, 1000)[0]  # omega = form / d
     ctx = scalar_context(aux.eta)
-    assert flow_tree_map(aux, ctx, aux.alpha, omega) == report.wall_value
+    assert flow_tree_sum(range(1, 4), aux.eta, ctx, aux.alpha, form) == report.wall_value
 
 
 def test_joint_consistency_negative_control():
@@ -282,4 +280,4 @@ def test_joint_consistency_requires_rank_two():
     assert single.r == 1
     with pytest.raises(InvalidInput):
         check_joint_consistency(single, seed=0)
-    assert check_joint_consistency(aux, seed=0).passed
+    check_joint_consistency(aux, seed=0)
