@@ -3,12 +3,13 @@
 Commands: trees, F, dt, oracle rank2, check {perturbation|joints|
 multicover|oracle}.  Output is deterministic byte-for-byte for a fixed
 command line; exit codes are 0 (pass), 1 (internal failure), 2 (invalid
-input), 3 (genericity or sampling failure).
+input), 3 (genericity or sampling failure), 141 (stdout closed early).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -28,10 +29,12 @@ from .scattering import reconstruct_rank2
 from .trees import enumerate_trees, render_tree, tree_count
 
 MAX_R = 10  # largest r of `trees` and `check perturbation|joints`: their work grows at least as 3^r
-# Largest --degree of `oracle rank2` and --max-dim of `check oracle`.  On one 2-vCPU
-# machine, `oracle rank2 --m 3` took 1.9, 4.4, 5.1 and 11.3 s CPU at degree 11 to 14;
-# `check oracle --m 3` took 3.9, 16.6 and 111 s at max-dim 9 to 11, and over 300 s at 12.
+# MAX_DEGREE bounds --degree of `oracle rank2`, MAX_CHECK_DIM --max-dim of `check oracle`.
+# On one 2-vCPU machine, `oracle rank2 --m 3` took 1.9, 4.4, 5.1 and 11.3 s CPU at
+# degree 11 to 14; `check oracle --m 3`, whose time goes to the flow side, took 3.9,
+# 16.6 and 111 s at max-dim 9 to 11, and over 300 s at 12.
 MAX_DEGREE = 13
+MAX_CHECK_DIM = 10
 
 
 def _check_r(r: int) -> None:
@@ -39,9 +42,9 @@ def _check_r(r: int) -> None:
         raise InvalidInput(f"r must be between 1 and {MAX_R}, got {r}")
 
 
-def _check_degree(flag: str, value: int) -> None:
-    if value > MAX_DEGREE:
-        raise InvalidInput(f"{flag} must be at most {MAX_DEGREE}, got {value}")
+def _check_at_most(flag: str, value: int, bound: int) -> None:
+    if value > bound:
+        raise InvalidInput(f"{flag} must be at most {bound}, got {value}")
 
 
 def _check_count(flag: str, value: int) -> None:
@@ -161,7 +164,7 @@ def _cmd_dt(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    _check_degree("--degree", args.degree)
+    _check_at_most("--degree", args.degree, MAX_DEGREE)
     if (args.quiver is None) == (args.m is None):
         raise InvalidInput("give exactly one of --quiver or --m")
     if args.quiver is not None:
@@ -186,7 +189,7 @@ def _cmd_check(args, out) -> int:
     if args.kind in ("perturbation", "joints"):
         _check_r(args.r)
     if args.kind == "oracle":
-        _check_degree("--max-dim", args.max_dim)
+        _check_at_most("--max-dim", args.max_dim, MAX_CHECK_DIM)
     if args.kind == "perturbation":
         result = checks.check_perturbation(args.r, args.trials, seed=args.seed)
     elif args.kind == "joints":
@@ -215,15 +218,16 @@ def main(argv=None) -> int:
     out = sys.stdout
     try:
         _check_count("--budget", args.budget)
-        if args.command == "trees":
-            return _cmd_trees(args, out)
-        if args.command == "F":
-            return _cmd_f(args, out)
-        if args.command == "dt":
-            return _cmd_dt(args, out)
-        if args.command == "oracle":
-            return _cmd_oracle(args, out)
-        return _cmd_check(args, out)
+        commands = {"trees": _cmd_trees, "F": _cmd_f, "dt": _cmd_dt, "oracle": _cmd_oracle}
+        code = commands.get(args.command, _cmd_check)(args, out)
+        out.flush()  # a reader gone early shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is still buffered to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
+        return 141  # what a shell reports for a process ended by SIGPIPE
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from itertools import groupby
 
 from .algebra import BiLaurent, LaurentPoly, RatFunc, _as_ratfunc, kappa
@@ -181,11 +181,6 @@ class GradedLie:
 # rank-2 diagrams
 
 
-def _primitive(n):
-    g = math.gcd(n[0], n[1])
-    return (n[0] // g, n[1] // g), g
-
-
 def _attractor_direction(form, n):
     """The covector <n, -> as an integer vector in the stability plane."""
     return (
@@ -194,36 +189,16 @@ def _attractor_direction(form, n):
     )
 
 
-def _half(d) -> int:
-    return 0 if (d[1] > 0 or (d[1] == 0 and d[0] > 0)) else 1
+def _angle(n) -> Fraction:
+    """n1 / (n0 + n1): increasing in the angle of a positive class, equal along a ray."""
+    return Fraction(n[1], sum(n))
 
 
-def _sort_ccw(rays):
-    """Sort (direction, rank, payload) counterclockwise from the positive x-axis.
-
-    Entries on one ray are ordered by rank; two entries with the same
-    direction and the same rank are coincident rays, a ConsistencyFailure.
-    """
-
-    def cmp(a, b):
-        (d1, r1, _), (d2, r2, _) = a, b
-        h1, h2 = _half(d1), _half(d2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cross = d1[0] * d2[1] - d1[1] * d2[0]
-        if cross:
-            return -1 if cross > 0 else 1
-        if r1 == r2:
-            raise ConsistencyFailure(f"coincident ray directions {d1} and {d2}")
-        return -1 if r1 < r2 else 1
-
-    return sorted(rays, key=cmp_to_key(cmp))
-
-
-def _crossing_sign(normal, direction) -> int:
-    """+1 when a counterclockwise loop crosses from the positive side of the normal."""
-    s = normal[0] * direction[1] - normal[1] * direction[0]
-    return 1 if s > 0 else -1
+def _rank2_class(n, what: str) -> tuple:
+    """n as a rank-2 class; anything but a pair of ints is invalid input."""
+    if len(n) != 2 or not all(isinstance(x, int) for x in n):
+        raise InvalidInput(f"{what} {n} is not a pair of integers")
+    return tuple(n)
 
 
 @dataclass
@@ -241,29 +216,36 @@ class Rank2Diagram:
     scattered: dict
 
     def ray_entries(self):
-        """(direction, (class, coefficient)) sorted counterclockwise.
+        """(sigma, (class, coefficient)) counterclockwise from the positive x-axis.
 
-        Multiples of one class share a geometric ray; they sort together,
-        ordered by total dimension.
+        The ray of n points along sigma |w| (-n1, n0), w = form[0][1], with
+        sigma = sgn w for initial rays and -sgn w for scattered ones.  First
+        come the sigma = -1 classes (0, k), on the positive x-axis, then the
+        sigma = +1 rays, then the other sigma = -1 rays; each group by
+        ``_angle``, then by total dimension.  A zero form gives no rays.
         """
-        out = []
-        for values, side in ((self.initial, 1), (self.scattered, -1)):
-            for n, c in values.items():
-                d = _attractor_direction(self.form, _primitive(n)[0])
-                d = (side * d[0], side * d[1])
-                if d != (0, 0) and not c.is_zero():
-                    out.append((d, (sum(n), n), (n, c)))
-        return [(d, entry) for d, _, entry in _sort_ccw(out)]
+        if not self.form[0][1]:
+            return []
+        s = 1 if self.form[0][1] > 0 else -1
+
+        def order(entry):
+            sigma, (n, _) = entry
+            group = 1 if sigma > 0 else 2 if n[0] else 0
+            return group, _angle(n), sum(n)
+
+        sides = ((self.initial, s), (self.scattered, -s))
+        entries = [(sigma, entry) for values, sigma in sides for entry in values.items()]
+        return sorted(entries, key=order)
 
 
 def _loop_rays(diagram: Rank2Diagram):
-    """(element, sign) per ray of ``ray_entries``, in crossing order for a counterclockwise loop."""
-    rays = []
-    for d, entries in groupby(diagram.ray_entries(), key=lambda entry: entry[0]):
-        element = dict(entry for _, entry in entries)
-        normal = _primitive(next(iter(element)))[0]
-        rays.append((element, _crossing_sign(normal, d)))
-    return rays
+    """(element, sign) per ray of ``ray_entries``, in crossing order for a counterclockwise loop.
+
+    The ray of n points along d = sigma |w| (-n1, n0), so n0 d1 - n1 d0 =
+    sigma |w| (n0^2 + n1^2): the loop crosses it with sign sigma.
+    """
+    rays = groupby(diagram.ray_entries(), key=lambda entry: (entry[0], _angle(entry[1][0])))
+    return [(dict(entry for _, entry in entries), sigma) for (sigma, _), entries in rays]
 
 
 def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
@@ -287,7 +269,7 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
         raise InvalidInput("degree bound must be >= 1")
     init: dict = {}
     for n, c in initial.items():
-        n = (int(n[0]), int(n[1]))
+        n = _rank2_class(n, "initial class")
         if not is_positive_dimvec(n):
             raise InvalidInput(f"initial class {n} is not positive")
         if sum(n) > degree_bound:
@@ -300,16 +282,13 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
         # Everything commutes; the diagram equals its initial data.
         return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=dict(init))
 
-    def angle(n):  # increasing in the angle of a positive class, equal along a ray
-        return Fraction(n[1], sum(n))
-
     s = 1 if form[0][1] > 0 else -1
     alg = GradedLie(form=form, degree_bound=degree_bound)
-    target = alg.path_product(({n: init[n]}, s) for n in sorted(init, key=angle))
+    target = alg.path_product(({n: init[n]}, s) for n in sorted(init, key=_angle))
     scattered: dict = {}
     while target:
-        ray = min(map(angle, target))
-        part = {n: c for n, c in target.items() if angle(n) == ray}
+        ray = min(map(_angle, target))
+        part = {n: c for n, c in target.items() if _angle(n) == ray}
         element = lie_scale(alg.log(part), s)
         scattered.update(element)
         target = alg.group_mul(alg.exp(lie_scale(element, -s)), target)
@@ -328,7 +307,7 @@ def dt_from_rank2(diag: Rank2Diagram, gamma, theta) -> RatFunc:
     attractor side or the scattered side, and the value is the stored
     coefficient there (zero when no ray carries the class).
     """
-    gamma = (int(gamma[0]), int(gamma[1]))
+    gamma = _rank2_class(gamma, "class")
     if not is_positive_dimvec(gamma):
         raise InvalidInput(f"not a positive class: {gamma}")
     if sum(gamma) > diag.degree_bound:

@@ -222,15 +222,17 @@ def test_degree_above_its_bound_exits_2(capsys, monkeypatch, argv, flag):
     from quiverdt import checks, cli
 
     # the bound is checked before any work, and the bound itself passes it
+    bound = {"--degree": cli.MAX_DEGREE, "--max-dim": cli.MAX_CHECK_DIM}[flag]
     monkeypatch.setattr(checks, "check_oracle", None)
     monkeypatch.setattr(checks, "rank2_initial_data", None)
-    for value in (cli.MAX_DEGREE + 1, 10 ** 20):
+    for value in (bound + 1, 10 ** 20):
         code = main([*argv, str(value)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "", captured.out
-        assert captured.err == f"error: {flag} must be at most {cli.MAX_DEGREE}, got {value}\n", captured.err
-    assert cli.MAX_DEGREE >= 13  # every degree CI and the tests run
-    cli._check_degree(flag, cli.MAX_DEGREE)
+        assert captured.err == f"error: {flag} must be at most {bound}, got {value}\n", captured.err
+    # every degree and max-dim that CI and the tests run
+    assert cli.MAX_DEGREE >= 13 and cli.MAX_CHECK_DIM >= 8
+    cli._check_at_most(flag, bound, bound)
 
 
 @pytest.mark.parametrize(
@@ -383,13 +385,40 @@ def test_dt_assembles_each_divisor_class_once(capsys, tmp_path, monkeypatch):
     assert calls == [(2, 2, 2), (1, 1, 1)]
 
 
-def test_python_dash_m_runs_the_command():
+def _child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_python_dash_m_runs_the_command():
     done = subprocess.run(
-        [sys.executable, "-m", "quiverdt", "trees", "3"], capture_output=True, env=env, timeout=60
+        [sys.executable, "-m", "quiverdt", "trees", "3"], capture_output=True, env=_child_env(), timeout=60
     )
     assert done.returncode == 0 and done.stdout == TREES_3.encode(), done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [(["trees", "8"], 1), (["oracle", "rank2", "--m", "2", "--degree", "4"], 0)],
+    ids=["trees-after-one-line", "oracle-before-start"],
+)
+def test_stdout_closed_early_exits_141_quietly(argv, lines):
+    # the reader takes `lines` lines and closes its end, as `| head -n lines` does; with 0
+    # it closes before the child starts, so even an output short enough to sit in the
+    # buffer until the end meets a closed pipe
+    read_end, write_end = os.pipe()
+    reader = os.fdopen(read_end, "rb")
+    if not lines:
+        reader.close()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "quiverdt", *argv], stdout=write_end, stderr=subprocess.PIPE, env=_child_env()
+    )
+    os.close(write_end)
+    for _ in range(lines):
+        assert reader.readline()
+    reader.close()
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 141 and err == b"", err
 
 
 def test_internal_failure_prints_traceback(capsys, monkeypatch):

@@ -26,6 +26,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 FILES = {
     "k2": "vertices 2\narrow 1 2 2\n",
+    "k2r": "vertices 2\narrow 2 1 2\n",
     "q3": "vertices 3\narrow 1 2 2\narrow 2 3 2\narrow 1 3 1\n",
 }
 
@@ -41,6 +42,7 @@ CASES = {
                  "0,0,1", "--theta", "39,34,-146"]],
     "dt_cache_cold_then_warm": [DT_Q3, DT_Q3],
     "oracle_rank2": [["oracle", "rank2", "--m", "2", "--degree", "4"]],
+    "oracle_rank2_reversed": [["oracle", "rank2", "--quiver", "{k2r}", "--degree", "5"]],
     "check_perturbation": [["check", "perturbation", "--r", "4"]],
     "check_joints": [["check", "joints", "--r", "3"]],
     "check_oracle": [["check", "oracle", "--m", "2", "--max-dim", "4"]],

@@ -1,6 +1,7 @@
 """Lie algebra brackets, the group model against BCH, the rank-2 oracle and joint consistency."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,11 @@ from quiverdt import scattering
 from quiverdt.algebra import BiLaurent, RatFunc, kappa
 from quiverdt.checks import kronecker_oracle_data, quiver_skew, random_instance
 from quiverdt.errors import ConsistencyFailure, DegreeExceeded, InvalidInput
-from quiverdt.lattice import Quiver, _iter_box, _rng, build_aux
+from quiverdt.lattice import Quiver, _iter_box, _rng, build_aux, parse_quiver
 from quiverdt.scattering import (
     GradedLie,
+    _attractor_direction,
     _loop_rays,
-    _sort_ccw,
     check_joint_consistency,
     dt_from_rank2,
     lie_add,
@@ -113,12 +114,34 @@ def test_path_ordered_products_agree_in_both_gradings():
         assert _lie_eq(path_ordered_product(h_mode, crossings), h_mode.log(h_mode.path_product(crossings)))
 
 
-def test_coincident_loop_rays_rejected():
-    with pytest.raises(ConsistencyFailure):
-        _sort_ccw([((1, 1), 0, "a"), ((2, 2), 0, "b")])
-    assert [p for _, _, p in _sort_ccw([((2, 2), 1, "b"), ((1, 1), 0, "a"), ((1, 0), 5, "c")])] == [
-        "c", "a", "b"
-    ]
+@pytest.mark.parametrize(
+    "arrows",
+    ["1 2 1", "1 2 2", "1 2 3", "2 1 1", "2 1 2", "2 1 3", "1 2 3\narrow 2 1 1"],
+)
+def test_ray_entries_run_counterclockwise_with_the_crossing_sign(arrows):
+    # against the geometry: the ray of n on side s (+1 initial, -1 scattered) points along
+    # d = s <n, ->, ordered by atan2(d) in [0, 2 pi), then by total dimension
+    quiver = parse_quiver(f"vertices 2\narrow {arrows}\n")
+    form = quiver_skew(quiver)
+    _, initial = kronecker_oracle_data(1, 7)  # the default attractor data of any 2-vertex quiver
+    diag = reconstruct_rank2(initial, form, 7)
+
+    def direction(side, n):
+        return [side * x for x in _attractor_direction(form, n)]
+
+    def key(ray):
+        d = direction(*ray[:2])
+        g = math.gcd(*d)  # atan2 of the primitive direction, so that a ray's classes tie exactly
+        angle = math.atan2(d[1] // g, d[0] // g)
+        return angle if angle >= 0 else angle + 2 * math.pi, sum(ray[1])
+
+    rays = [(1, n, c) for n, c in diag.initial.items()] + [(-1, n, c) for n, c in diag.scattered.items()]
+    rays.sort(key=key)
+    entries = diag.ray_entries()
+    assert [entry for _, entry in entries] == [(n, c) for _, n, c in rays]
+    for (sigma, _), (side, n, _) in zip(entries, rays):
+        d = direction(side, n)
+        assert sigma == (1 if n[0] * d[1] - n[1] * d[0] > 0 else -1)
 
 
 def test_jacobi_identity_random():
@@ -241,6 +264,19 @@ def test_dt_from_rank2_read_offs():
     assert dt_from_rank2(diag, (1, 1), (-1, 1)) == RatFunc.zero()
     with pytest.raises(DegreeExceeded):
         dt_from_rank2(diag, (2, 1), (1, -2))
+
+
+@pytest.mark.parametrize("bad", [(1, 0, 5), (1,), (Fraction(1, 2), 1), (1.0, 2)])
+def test_reconstruct_rejects_a_class_that_is_not_an_integer_pair(bad):
+    with pytest.raises(InvalidInput, match="not a pair of integers"):
+        reconstruct_rank2({bad: 1, (0, 1): 1}, ((0, 1), (-1, 0)), 3)
+
+
+@pytest.mark.parametrize("bad", [(1, 1, 7), (1,), (Fraction(3, 2), 1), (1.0, 1)])
+def test_dt_from_rank2_rejects_a_class_that_is_not_an_integer_pair(bad):
+    diag = reconstruct_rank2({(1, 0): 1, (0, 1): 1}, ((0, 1), (-1, 0)), 2)
+    with pytest.raises(InvalidInput, match="not a pair of integers"):
+        dt_from_rank2(diag, bad, (1, -1))
 
 
 def test_joint_consistency_rank2():
