@@ -139,18 +139,12 @@ def rank2_initial_data(table: AttractorTable, degree_bound: int) -> dict:
     return initial
 
 
-def kronecker_oracle_data(m: int, degree_bound: int):
-    """Initial data of the Kronecker-m stability diagram with acyclic attractors."""
-    table = AttractorTable(acyclic_default=True)
-    return table, rank2_initial_data(table, degree_bound)
-
-
 def check_oracle(m: int, max_dim: int, seed: int = 0) -> CheckResult:
     """assemble_dt equals the rank-2 scattering oracle on every small class."""
     result = CheckResult(passed=True)
     quiver = Quiver.kronecker(m)
-    table, initial = kronecker_oracle_data(m, max_dim)
-    diagram = reconstruct_rank2(initial, quiver_skew(quiver), max_dim)
+    table = AttractorTable(acyclic_default=True)
+    diagram = reconstruct_rank2(rank2_initial_data(table, max_dim), euler_skew(quiver).matrix, max_dim)
     cache = FCache()
     compared = 0
     for total in range(1, max_dim + 1):
@@ -175,13 +169,9 @@ def check_oracle(m: int, max_dim: int, seed: int = 0) -> CheckResult:
     return result
 
 
-def quiver_skew(q: Quiver):
-    return euler_skew(q).matrix
-
-
 def _chamber_representatives(q: Quiver, gamma):
     """One gamma-generic theta per chamber of the wall of gamma."""
-    att = _attractor_direction(quiver_skew(q), gamma)
+    att = _attractor_direction(euler_skew(q).matrix, gamma)
     if att == (0, 0):
         # Degenerate pairing: a single chamber; pick any covector on the wall.
         theta = (Fraction(gamma[1]), Fraction(-gamma[0]))

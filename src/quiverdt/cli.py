@@ -24,7 +24,7 @@ from .errors import (
     NotPolynomial,
 )
 from .flow import flow_tree_scalar
-from .lattice import Quiver, build_aux, parse_covector, parse_dimvec, parse_quiver
+from .lattice import Quiver, build_aux, euler_skew, parse_covector, parse_dimvec, parse_quiver
 from .scattering import reconstruct_rank2
 from .trees import enumerate_trees, render_tree, tree_count
 
@@ -35,6 +35,9 @@ MAX_R = 10  # largest r of `trees` and `check perturbation|joints`: their work g
 # 16.6 and 111 s at max-dim 9 to 11, and over 300 s at 12.
 MAX_DEGREE = 13
 MAX_CHECK_DIM = 10
+# MAX_ARROWS bounds |form[0][1]| of both rank-2 commands (`--m`, or a `--quiver` of
+# `oracle rank2`): `oracle rank2 --degree 13` took 7.2, 13.1 and 54 s at m = 3, 10 and 30.
+MAX_ARROWS = 10
 
 
 def _check_r(r: int) -> None:
@@ -173,9 +176,10 @@ def _cmd_oracle(args, out) -> int:
             raise InvalidInput("the rank-2 oracle needs a 2-vertex quiver")
     else:
         quiver = Quiver.kronecker(args.m)
-    form = checks.quiver_skew(quiver)
+    form = euler_skew(quiver).matrix
     if form[0][1] == 0:
         raise InvalidInput("the skew form is zero, so its rays have no direction")
+    _check_at_most("the arrow count |form[0][1]|", abs(form[0][1]), MAX_ARROWS)
     table = _load_attractor(args.attractor, quiver.vertex_count)
     initial = checks.rank2_initial_data(table, args.degree)
     diagram = reconstruct_rank2(initial, form, args.degree)
@@ -190,6 +194,7 @@ def _cmd_check(args, out) -> int:
         _check_r(args.r)
     if args.kind == "oracle":
         _check_at_most("--max-dim", args.max_dim, MAX_CHECK_DIM)
+        _check_at_most("--m", args.m, MAX_ARROWS)
     if args.kind == "perturbation":
         result = checks.check_perturbation(args.r, args.trials, seed=args.seed)
     elif args.kind == "joints":

@@ -34,11 +34,12 @@ from .errors import (
     NotOnWall,
     ZeroSignArgument,
 )
-from .flow import _first_generic, flow_tree_sum, scalar_context
+from .flow import _evaluate, _first_generic, scalar_context
 from .lattice import (
     AuxLattice,
     check_skew,
     dot,
+    integral_multiple,
     is_positive_dimvec,
     subset_sums,
 )
@@ -258,8 +259,9 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
     right side is built once.  The classes of angle above any given one
     span an ideal, so the part of that product on the smallest angle
     present is exp(s S_1); it is peeled off from the left, and so on
-    until nothing is left.  A final full-loop check asserts consistency
-    up to the degree bound.
+    until nothing is left.  A zero form makes the bracket and the twist
+    vanish, so the peel gives back the initial data.  A final full-loop
+    check asserts consistency up to the degree bound.
     """
     check_skew(form, "form")
     form = tuple(tuple(row) for row in form)
@@ -277,10 +279,6 @@ def reconstruct_rank2(initial: dict, form, degree_bound: int) -> Rank2Diagram:
         c = _as_ratfunc(c)
         if not c.is_zero():
             init[n] = c
-
-    if form[0][1] == 0:
-        # Everything commutes; the diagram equals its initial data.
-        return Rank2Diagram(form=form, degree_bound=degree_bound, initial=init, scattered=dict(init))
 
     s = 1 if form[0][1] > 0 else -1
     alg = GradedLie(form=form, degree_bound=degree_bound)
@@ -320,12 +318,8 @@ def dt_from_rank2(diag: Rank2Diagram, gamma, theta) -> RatFunc:
     if not any(theta):
         raise InvalidInput("theta must be nonzero")
     d_att = _attractor_direction(diag.form, gamma)
-    if d_att == (0, 0):
-        return diag.initial.get(gamma, RatFunc.zero())
-    side = theta[0] * d_att[0] + theta[1] * d_att[1]
-    if side > 0:
-        return diag.initial.get(gamma, RatFunc.zero())
-    return diag.scattered.get(gamma, RatFunc.zero())
+    side = diag.initial if dot(theta, d_att) > 0 else diag.scattered
+    return side.get(gamma, RatFunc.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +327,9 @@ def dt_from_rank2(diag: Rank2Diagram, gamma, theta) -> RatFunc:
 
 
 @dataclass(frozen=True)
-class JointRecord:
-    t: Fraction
-    part: int
-    complement: int
-    jump: LaurentPoly
-
-
-@dataclass(frozen=True)
 class ConsistencyReport:
+    """The wall value at alpha and the joint positions t, in increasing order."""
+
     wall_value: LaurentPoly
     joints: tuple
 
@@ -395,10 +383,10 @@ def check_joint_consistency(
     r = aux.r
     if r < 2:
         raise InvalidInput("joint consistency needs r >= 2")
-    eta = aux.eta
-    # omega = form / d; the flow runs on the integer form, a positive multiple
+    eta = [[int(x) for x in row] for row in aux.eta]
+    # omega = form / d and alpha = A / c; the flow runs on their integer multiples
     form, d, value_at_alpha = _first_generic(aux, "omega", seed, budget)
-    alpha = aux.alpha
+    c, alpha = integral_multiple(aux.alpha)
     full = (1 << r) - 1
     # M(e_m, e_I) per mask m; for a skew M it equals M(e_m, e_{I minus m})
     eta_sums = subset_sums([sum(row) for row in eta])
@@ -406,32 +394,26 @@ def check_joint_consistency(
     form_sums = subset_sums(form_rows)
     alpha_sums = subset_sums(alpha)
 
-    located = []
-    for m1 in range(1, full, 2):  # each unordered split once, via the part containing index 1
-        m2 = full ^ m1
-        eta_p = eta_sums[m1]
-        if eta_p == 0:
-            continue
-        form_p = form_sums[m1]
-        t = Fraction(alpha_sums[m1] * d, form_p)  # alpha(e_m1) / omega(e_m1, e_I)
-        if t > 0:
-            located.append((t, m1, m2, form_p, eta_p))
-    located.sort(key=lambda rec: rec[0])
-    for i in range(1, len(located)):
-        if located[i][0] == located[i - 1][0]:
-            raise ConsistencyFailure(
-                "tied joints on the flow half-line", joint=located[i][0]
-            )
+    # the joints t = alpha(e_m) / omega(e_m, e_I) > 0, each unordered split once via
+    # the part m containing index 1; omega(e_m, e_I) has eta's sign, so it is nonzero
+    located = sorted(
+        (Fraction(alpha_sums[m] * d, c * form_sums[m]), m)
+        for m in range(1, full, 2)
+        if eta_sums[m] and alpha_sums[m] * form_sums[m] > 0
+    )
+    ts = [t for t, _ in located]
+    for prev, t in zip(ts, ts[1:]):
+        if t == prev:
+            raise ConsistencyFailure("tied joints on the flow half-line", joint=t)
 
-    iota = tuple(Fraction(-v, d) for v in form_rows)  # omega(e_I, e_j) = -omega(e_j, e_I)
+    def point_at(t: Fraction) -> list:
+        """c d q (alpha + t iota_{e_I} omega) at t = p / q: the flow reads only its signs."""
+        return [d * t.denominator * a - c * t.numerator * w for a, w in zip(alpha, form_rows)]
 
-    def point_at(t: Fraction):
-        return tuple(a + t * v for a, v in zip(alpha, iota))
+    ctx, tables = scalar_context(eta), {}
 
-    ctx = scalar_context(eta)
-
-    def wall_value(point) -> LaurentPoly:
-        return flow_tree_sum(range(1, r + 1), eta, ctx, point, form)
+    def flow_value(mask: int, point) -> LaurentPoly:
+        return ctx.decode(_evaluate(mask, point, eta, form, ctx, tables), mask)
 
     def segment_value(lo: Fraction, hi) -> LaurentPoly:
         if hi is None:
@@ -440,41 +422,30 @@ def check_joint_consistency(
             candidates = [lo + (hi - lo) * f for f in _SEGMENT_FRACTIONS]
         for t in candidates:
             try:
-                return wall_value(point_at(t))
+                return flow_value(full, point_at(t))
             except ZeroSignArgument:
                 continue
         raise ConsistencyFailure("no generic sample point on a segment", joint=lo)
 
-    ts = [rec[0] for rec in located]
-    bounds = [Fraction(0)] + ts
-    segment_values = []
-    for i in range(len(bounds)):
-        hi = bounds[i + 1] if i + 1 < len(bounds) else None
-        segment_values.append(segment_value(bounds[i], hi))
+    segment_values = [segment_value(lo, hi) for lo, hi in zip([Fraction(0)] + ts, ts + [None])]
     if corrupt:
         segment_values[0] = segment_values[0] + LaurentPoly.const(1)
 
     if segment_values[0] != value_at_alpha:
-        raise ConsistencyFailure(
-            "wall value is not constant on the first segment", joint=Fraction(0)
-        )
+        raise ConsistencyFailure("wall value is not constant on the first segment", joint=Fraction(0))
 
-    joints = []
     jump_total = LaurentPoly.zero()
-    for i, (t, m1, m2, form_p, eta_p) in enumerate(located, start=1):
+    for i, (t, m) in enumerate(located, start=1):
         x = point_at(t)
         if _has_triple_split(x, r):
             raise ConsistencyFailure("triple split at a joint", joint=t)
-        left_sum = flow_tree_sum([j + 1 for j in range(r) if m1 >> j & 1], eta, ctx, x, form)
-        right_sum = flow_tree_sum([j + 1 for j in range(r) if m2 >> j & 1], eta, ctx, x, form)
-        predicted = kappa(eta_p) * left_sum * right_sum
-        if form_p > 0:
+        predicted = kappa(eta_sums[m]) * flow_value(m, x) * flow_value(full ^ m, x)
+        if form_sums[m] > 0:
             predicted = -predicted
         measured = segment_values[i - 1] - segment_values[i]
         if measured != predicted:
             raise ConsistencyFailure("jump does not match the commutator", joint=t)
         jump_total = jump_total + predicted
-        joints.append(JointRecord(t=t, part=m1, complement=m2, jump=predicted))
 
     if segment_values[-1] != LaurentPoly.zero():
         raise ConsistencyFailure(
@@ -484,4 +455,4 @@ def check_joint_consistency(
     if jump_total != value_at_alpha:
         raise ConsistencyFailure("telescoped jumps do not reassemble the wall value")
 
-    return ConsistencyReport(wall_value=value_at_alpha, joints=tuple(joints))
+    return ConsistencyReport(wall_value=value_at_alpha, joints=tuple(ts))

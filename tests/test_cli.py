@@ -238,6 +238,50 @@ def test_degree_above_its_bound_exits_2(capsys, monkeypatch, argv, flag):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["oracle", "rank2", "--m", "{n}", "--degree", "3"],
+        ["oracle", "rank2", "--quiver", "{q}", "--degree", "3"],
+        ["check", "oracle", "--m", "{n}", "--max-dim", "3"],
+    ],
+    ids=["oracle-m", "oracle-quiver", "check-m"],
+)
+def test_arrow_count_above_its_bound_exits_2(capsys, monkeypatch, tmp_path, argv):
+    from quiverdt import checks, cli
+
+    bound = cli.MAX_ARROWS
+    quiver = tmp_path / "reversed.quiver"
+    quiver.write_text(f"vertices 2\narrow 2 1 {bound + 1}\n")
+    with monkeypatch.context() as patch:  # the bound is checked before any work
+        patch.setattr(checks, "check_oracle", None)
+        patch.setattr(checks, "rank2_initial_data", None)
+        code = main([a.format(n=bound + 1, q=quiver) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert captured.err.startswith("error: "), captured.err
+    assert captured.err.endswith(f" must be at most {bound}, got {bound + 1}\n"), captured.err
+    # the bound itself runs
+    quiver.write_text(f"vertices 2\narrow 2 1 {bound}\n")
+    code, out = _run(capsys, [a.format(n=bound, q=quiver) for a in argv])
+    assert code == 0 and out, out
+
+
+@pytest.mark.parametrize("exponent", [101, -101, 100, -100])
+def test_attractor_exponent_above_its_bound_exits_2(capsys, kronecker1, tmp_path, exponent):
+    from quiverdt.dt import MAX_EXPONENT
+
+    table = tmp_path / "attractor.txt"
+    table.write_text(f"gamma = 0,1 ; omega_star = 1\ngamma = 1,0 ; omega_star = 1 + y^{exponent}*t\n")
+    code = main(["dt", "--quiver", kronecker1, "--gamma", "2,2", "--theta", "1,-1", "--attractor", str(table)])
+    captured = capsys.readouterr()
+    if abs(exponent) > MAX_EXPONENT:
+        assert code == 2 and captured.out == "", captured.out
+        assert captured.err == f"error: line 2: |y-exponent| {abs(exponent)} is above {MAX_EXPONENT}\n"
+    else:
+        assert code == 0 and captured.out.startswith("Omega_bar = "), captured
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["check", "multicover", "--trials", "-1"],
         ["check", "multicover", "--trials", "0"],
         ["check", "perturbation", "--r", "2", "--trials", "0"],

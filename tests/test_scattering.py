@@ -8,9 +8,10 @@ import pytest
 
 from quiverdt import scattering
 from quiverdt.algebra import BiLaurent, RatFunc, kappa
-from quiverdt.checks import kronecker_oracle_data, quiver_skew, random_instance
+from quiverdt.checks import rank2_initial_data, random_instance, random_integer_table
+from quiverdt.dt import AttractorTable, rational_from_integer
 from quiverdt.errors import ConsistencyFailure, DegreeExceeded, InvalidInput
-from quiverdt.lattice import Quiver, _iter_box, _rng, build_aux, parse_quiver
+from quiverdt.lattice import Quiver, _iter_box, _rng, build_aux, euler_skew, parse_quiver
 from quiverdt.scattering import (
     GradedLie,
     _attractor_direction,
@@ -24,6 +25,7 @@ from quiverdt.scattering import (
 from lie_reference import bch_log_product, path_ordered_product, square_free
 
 RANK2 = GradedLie(form=((0, 1), (-1, 0)), degree_bound=4)
+ACYCLIC = AttractorTable(acyclic_default=True)  # the default attractor data of any 2-vertex quiver
 
 
 def _lie_eq(a, b):
@@ -122,9 +124,8 @@ def test_ray_entries_run_counterclockwise_with_the_crossing_sign(arrows):
     # against the geometry: the ray of n on side s (+1 initial, -1 scattered) points along
     # d = s <n, ->, ordered by atan2(d) in [0, 2 pi), then by total dimension
     quiver = parse_quiver(f"vertices 2\narrow {arrows}\n")
-    form = quiver_skew(quiver)
-    _, initial = kronecker_oracle_data(1, 7)  # the default attractor data of any 2-vertex quiver
-    diag = reconstruct_rank2(initial, form, 7)
+    form = euler_skew(quiver).matrix
+    diag = reconstruct_rank2(rank2_initial_data(ACYCLIC, 7), form, 7)
 
     def direction(side, n):
         return [side * x for x in _attractor_direction(form, n)]
@@ -177,10 +178,19 @@ def test_path_ordered_single_and_inverse():
     assert path_ordered_product(RANK2, [(phi, 1), (phi, -1)]) == {}
 
 
-def test_reconstruct_commutative_identity():
-    initial = {(1, 0): RatFunc.one(), (0, 1): RatFunc.one()}
-    diag = reconstruct_rank2(initial, ((0, 0), (0, 0)), 3)
-    assert _lie_eq(diag.scattered, diag.initial)
+@pytest.mark.parametrize(
+    "initial, degree",
+    [
+        ({(1, 0): RatFunc.one(), (0, 1): RatFunc.one()}, 3),
+        # non-unit classes, t-terms and multicover denominators
+        (rational_from_integer(random_integer_table(5)), 8),
+    ],
+    ids=["unit", "random_table"],
+)
+def test_reconstruct_commutative_identity(initial, degree):
+    diag = reconstruct_rank2(initial, ((0, 0), (0, 0)), degree)
+    assert diag.scattered == diag.initial
+    assert diag.ray_entries() == []
 
 
 def test_reconstruct_a2_single_new_ray():
@@ -201,9 +211,7 @@ def test_reconstruct_pentagon_loop_vanishes_via_bch():
 
 
 def test_reconstruct_k2_self_check_and_rays():
-    quiver = Quiver.kronecker(2)
-    _, initial = kronecker_oracle_data(2, 6)
-    diag = reconstruct_rank2(initial, quiver_skew(quiver), 6)
+    diag = reconstruct_rank2(rank2_initial_data(ACYCLIC, 6), euler_skew(Quiver.kronecker(2)).matrix, 6)
     for n in [(1, 1), (2, 1), (1, 2)]:
         assert n in diag.scattered and not diag.scattered[n].is_zero()
     # the consistency of the final diagram is asserted inside reconstruct_rank2;
@@ -215,8 +223,6 @@ def test_reconstruct_k2_self_check_and_rays():
 
 def test_reconstruct_final_loop_check_rejects_a_corrupted_diagram(monkeypatch):
     # drop the scattered (1, 1) ray of Kronecker-2 on its way into the final check
-    quiver = Quiver.kronecker(2)
-    _, initial = kronecker_oracle_data(2, 4)
     loop_rays = scattering._loop_rays
 
     def drop_ray(diagram):
@@ -226,7 +232,7 @@ def test_reconstruct_final_loop_check_rejects_a_corrupted_diagram(monkeypatch):
 
     monkeypatch.setattr(scattering, "_loop_rays", drop_ray)
     with pytest.raises(ConsistencyFailure):
-        reconstruct_rank2(initial, quiver_skew(quiver), 4)
+        reconstruct_rank2(rank2_initial_data(ACYCLIC, 4), euler_skew(Quiver.kronecker(2)).matrix, 4)
 
 
 def _swap(elements):
@@ -236,7 +242,7 @@ def _swap(elements):
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_reconstruct_negative_form_is_the_relabelled_positive_one(m):
     # swapping the two vertices turns the form ((0, -m), (m, 0)) into ((0, m), (-m, 0))
-    _, acyclic = kronecker_oracle_data(m, 5)
+    acyclic = rank2_initial_data(ACYCLIC, 5)
     t_term = RatFunc(BiLaurent({(0, 1): 1, (1, 0): -2}))
     asymmetric = {(1, 0): 1, (0, 1): Fraction(1, 2), (1, 2): t_term}
     for initial in (acyclic, asymmetric):
