@@ -23,12 +23,15 @@ Three value types live here:
 
 The canonical text rendering (ascending y-exponent, then ascending
 t-exponent, explicit signs, ``y^-1``-style exponents) is the bit-exact
-output contract of the CLI.
+output contract of the CLI.  The parsers read the same grammar and no
+other: a rational is ``[+-]N`` or ``[+-]N/D`` in decimal digits
+(``parse_rational``), so no decimal point, exponent or digit separator.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -163,9 +166,6 @@ class LaurentPoly(_Laurent):
                 elif e in out:
                     del out[e]
         return LaurentPoly._of(out)
-
-    def is_integral(self) -> bool:
-        return all(Fraction(c).denominator == 1 for c in self._terms.values())
 
     def to_bilaurent(self) -> "BiLaurent":
         return BiLaurent._of({(e, 0): c for e, c in self._terms.items()})
@@ -533,13 +533,6 @@ def _rational_pair(num: BiLaurent, d) -> tuple:
 # canonical rendering and parsing
 
 
-def _fmt_rational(c) -> str:
-    c = Fraction(c)
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
-
-
 def _render(terms: dict, variables: tuple) -> str:
     if not terms:
         return "0"
@@ -551,13 +544,13 @@ def _render(terms: dict, variables: tuple) -> str:
             for v, e in zip(variables, exps if type(exps) is tuple else (exps,))
             if e != 0
         )
-        mag = abs(Fraction(c))
+        mag = abs(c)  # an int or a Fraction, which str() writes as N or N/D
         if not mono:
-            body = _fmt_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = mono
         else:
-            body = f"{_fmt_rational(mag)}*{mono}"
+            body = f"{mag}*{mono}"
         parts.append(("-" if c < 0 else "+", body))
     sign, body = parts[0]
     text = ("-" if sign == "-" else "") + body
@@ -566,78 +559,52 @@ def _render(terms: dict, variables: tuple) -> str:
     return text
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/(0*[1-9][0-9]*))?\s*")  # no zero denominator
+_MONOMIAL = re.compile(r"\s*([yt])(?:\^\s*([+-]?[0-9]+))?\s*")
+_TERM_SIGN = re.compile(r" ([+-])")
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # the patterns admit only digits: int()'s digit limit
+        raise InvalidInput(f"integer of {len(digits)} digits is too long") from None
+
+
+def parse_rational(text: str) -> int | Fraction:
+    """A rational literal [+-]N or [+-]N/D in decimal digits, as the renderer writes it."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise InvalidInput(f"bad rational {text!r}")
+    num = _int(match[1])
+    return num if match[2] is None else Fraction(num, _int(match[2]))
+
+
 def parse_bilaurent(text: str) -> BiLaurent:
-    """Parse the canonical rendering back into a BiLaurent polynomial."""
+    """Parse the canonical rendering back into a BiLaurent polynomial.
+
+    Terms are split at a sign that follows a space, factors at '*'; a
+    factor is y or t with an optional integer exponent, or a rational.
+    """
     text = text.strip()
-    if text == "0":
-        return BiLaurent.zero()
+    # a leading sign needs no space before it; a text without one gets "+"
+    pieces = _TERM_SIGN.split((" " if text[:1] in ("+", "-") else " +") + text)
     terms: dict = {}
-    for sign, chunk in _split_signed(text):
-        coeff, ye, te = _parse_term(chunk)
-        key = (ye, te)
-        s = terms.get(key, 0) + sign * coeff
-        if s:
-            terms[key] = s
-        elif key in terms:
-            del terms[key]
-    return BiLaurent({k: c.numerator if c.denominator == 1 else c for k, c in terms.items()})
+    for sign, chunk in zip(pieces[1::2], pieces[2::2]):
+        coeff, exps = 1, [0, 0]  # the y- and the t-exponent
+        for factor in chunk.split("*"):
+            var = _MONOMIAL.fullmatch(factor)
+            if var is None:
+                coeff *= parse_rational(factor)
+            else:
+                exps[var[1] == "t"] += _int(var[2] or "1")
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + (coeff if sign == "+" else -coeff)
+    return BiLaurent._of({k: c.numerator if c.denominator == 1 else c for k, c in terms.items() if c})
 
 
 def parse_laurent(text: str) -> LaurentPoly:
-    bi = parse_bilaurent(text)
-    terms = {}
-    for (ye, te), c in bi.terms().items():
-        if te != 0:
-            raise InvalidInput(f"unexpected t-power in y-polynomial: {text!r}")
-        terms[ye] = c
-    return LaurentPoly(terms)
-
-
-def _split_signed(text: str):
-    out = []
-    i = 0
-    sign = 1
-    if text.startswith("-"):
-        sign = -1
-        i = 1
-    elif text.startswith("+"):
-        i = 1
-    start = i
-    while i < len(text):
-        if text[i] in "+-" and i > start and text[i - 1] == " ":
-            out.append((sign, text[start:i - 1].strip()))
-            sign = 1 if text[i] == "+" else -1
-            i += 1
-            start = i
-        else:
-            i += 1
-    out.append((sign, text[start:].strip()))
-    return out
-
-
-def _parse_term(chunk: str):
-    coeff = Fraction(1)
-    ye = te = 0
-    saw_coeff = False
-    for factor in chunk.split("*"):
-        factor = factor.strip()
-        if not factor:
-            raise InvalidInput(f"empty factor in term {chunk!r}")
-        if factor[0] in "yt":
-            var = factor[0]
-            exp = 1
-            if len(factor) > 1:
-                if factor[1] != "^":
-                    raise InvalidInput(f"bad monomial {factor!r}")
-                exp = int(factor[2:])
-            if var == "y":
-                ye += exp
-            else:
-                te += exp
-        else:
-            if saw_coeff:
-                coeff *= Fraction(factor)
-            else:
-                coeff = Fraction(factor)
-                saw_coeff = True
-    return coeff, ye, te
+    terms = parse_bilaurent(text)._terms  # exponent pairs (y, t)
+    if any(te for _, te in terms):
+        raise InvalidInput(f"unexpected t-power in y-polynomial: {text!r}")
+    return LaurentPoly._of({ye: c for (ye, _), c in terms.items()})

@@ -38,6 +38,8 @@ MAX_CHECK_DIM = 10
 # MAX_ARROWS bounds |form[0][1]| of both rank-2 commands (`--m`, or a `--quiver` of
 # `oracle rank2`): `oracle rank2 --degree 13` took 7.2, 13.1 and 54 s at m = 3, 10 and 30.
 MAX_ARROWS = 10
+# MAX_CLASSES bounds the class count r of `F`: on Kronecker-1, r = 10, 12 and 14 took 0.7, 25 and >600 s.
+MAX_CLASSES = 12
 
 
 def _check_r(r: int) -> None:
@@ -66,7 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=["text", "machine"], default="text", help="output format"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trees = sub.add_parser("trees", help="enumerate decorated binary trees")
@@ -133,6 +134,7 @@ def _cmd_trees(args, out) -> int:
 
 
 def _cmd_f(args, out) -> int:
+    _check_at_most("the class count of --gammas", len(args.gammas), MAX_CLASSES)
     quiver = parse_quiver(_read_input(args.quiver))
     gammas = [parse_dimvec(g) for g in args.gammas]
     theta = parse_covector(args.theta)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import re
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -48,6 +49,9 @@ from .lattice import (
 # Largest |y-exponent| of an attractor file entry: RatFunc gcds run over dense y-lists, so
 # `dt` time grows about quadratically in it (0.37, 3.7 and 37 s at 1 000, 4 000 and 16 000).
 MAX_EXPONENT = 100
+# Most digits of an attractor coefficient's numerator or denominator: values print only below 4 300 digits.
+MAX_DIGITS = 100
+_ENTRY = re.compile(r"gamma\s*=([^;=]*);\s*omega_star\s*=([^;=]*)")
 
 
 def qbracket(k: int) -> LaurentPoly:
@@ -112,7 +116,9 @@ class AttractorTable:
         """One entry per line: 'gamma = 1,2 ; omega_star = <poly>'.
 
         A line 'default acyclic' switches on the unit-vector default.  A
-        y-exponent above MAX_EXPONENT in absolute value is invalid input.
+        y-exponent above MAX_EXPONENT in absolute value, or a coefficient
+        whose numerator or denominator has more than MAX_DIGITS digits, is
+        invalid input.
         """
         entries = {}
         acyclic = False
@@ -123,26 +129,23 @@ class AttractorTable:
             if line == "default acyclic":
                 acyclic = True
                 continue
-            parts = line.split(";")
-            if len(parts) != 2:
+            entry = _ENTRY.fullmatch(line)
+            if entry is None:
                 raise InvalidInput(f"line {lineno}: expected 'gamma = ... ; omega_star = ...'")
-            left, right = parts[0].split("="), parts[1].split("=")
-            if len(left) != 2 or left[0].strip() != "gamma":
-                raise InvalidInput(f"line {lineno}: bad gamma clause")
-            if len(right) != 2 or right[0].strip() != "omega_star":
-                raise InvalidInput(f"line {lineno}: bad omega_star clause")
-            gamma = parse_dimvec(left[1].strip())
+            gamma = parse_dimvec(entry[1].strip())
             if not is_positive_dimvec(gamma):
                 raise InvalidInput(f"line {lineno}: {gamma} is not a positive class")
             if gamma in entries:
                 raise InvalidInput(f"line {lineno}: class {gamma} is listed twice")
             try:
-                value = parse_bilaurent(right[1].strip())
-            except (ValueError, ZeroDivisionError) as exc:
+                value = parse_bilaurent(entry[2])
+            except InvalidInput as exc:
                 raise InvalidInput(f"line {lineno}: bad omega_star value: {exc}") from exc
             widest = max((abs(ye) for ye, _ in value.terms()), default=0)
             if widest > MAX_EXPONENT:
                 raise InvalidInput(f"line {lineno}: |y-exponent| {widest} is above {MAX_EXPONENT}")
+            if any(max(abs(c.numerator), c.denominator) >= 10 ** MAX_DIGITS for c in value.terms().values()):
+                raise InvalidInput(f"line {lineno}: a coefficient has more than {MAX_DIGITS} digits")
             entries[gamma] = RatFunc(value)
         return AttractorTable(entries, acyclic_default=acyclic)
 
@@ -282,7 +285,7 @@ class FCache:
                 return None
             try:
                 poly = parse_laurent(lines[1][len("value "):])
-            except (InvalidInput, ValueError, ZeroDivisionError):
+            except InvalidInput:
                 return None
             self.memory[key] = poly
             return poly

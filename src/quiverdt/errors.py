@@ -35,10 +35,6 @@ class SamplingTimeout(GenericityError):
     """Rejection sampling exhausted its resample budget."""
 
 
-class DivisionByZeroPairing(GenericityError):
-    """The flow recursion hit a zero pairing: the form is outside U_J."""
-
-
 class ZeroSignArgument(GenericityError):
     """A sign argument of epsilon vanished: the form is not generic enough."""
 

@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .algebra import parse_rational
 from .errors import InvalidInput, NotGenericAlpha, NotOnWall
 
 PERTURBATION_DENOM = 2 ** 16
@@ -523,6 +524,6 @@ def parse_dimvec(text: str) -> tuple:
 
 def parse_covector(text: str) -> tuple:
     try:
-        return tuple(Fraction(x) for x in text.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
+        return tuple(parse_rational(x) for x in text.split(","))
+    except InvalidInput as exc:
         raise InvalidInput(f"bad covector {text!r}") from exc

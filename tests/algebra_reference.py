@@ -7,11 +7,17 @@ canonical form already holds.  This module keeps the definition its
 Euclid over Q[y] on the denominator and every t-slice of the numerator,
 division by the monic gcd, then scaling so that the denominator's lowest
 term is the constant +1.
+
+It also keeps the hand-written parser that ``parse_bilaurent`` replaced:
+a character scan for the term signs, and ``Fraction(str)`` on every
+coefficient.  On the renderer's language the two agree; the reference
+also accepts Python's other rational literals (``0.5``, ``1e3``, ``1_0``).
 """
 
 from fractions import Fraction
 
 from quiverdt.algebra import BiLaurent
+from quiverdt.errors import InvalidInput
 
 
 def _divmod_y(a: dict, b: dict):
@@ -82,3 +88,70 @@ def canonical_pair(num: BiLaurent, den: BiLaurent):
         scale = BiLaurent.monomial(-ye, 0, Fraction(1) / c)
         num, den = num * scale, den * scale
     return num, den
+
+
+def reference_parse_bilaurent(text: str) -> BiLaurent:
+    """The former parser of the canonical rendering, kept as the differential reference."""
+    text = text.strip()
+    if text == "0":
+        return BiLaurent.zero()
+    terms: dict = {}
+    for sign, chunk in _split_signed(text):
+        coeff, ye, te = _parse_term(chunk)
+        key = (ye, te)
+        s = terms.get(key, 0) + sign * coeff
+        if s:
+            terms[key] = s
+        elif key in terms:
+            del terms[key]
+    return BiLaurent({k: c.numerator if c.denominator == 1 else c for k, c in terms.items()})
+
+
+def _split_signed(text: str):
+    out = []
+    i = 0
+    sign = 1
+    if text.startswith("-"):
+        sign = -1
+        i = 1
+    elif text.startswith("+"):
+        i = 1
+    start = i
+    while i < len(text):
+        if text[i] in "+-" and i > start and text[i - 1] == " ":
+            out.append((sign, text[start:i - 1].strip()))
+            sign = 1 if text[i] == "+" else -1
+            i += 1
+            start = i
+        else:
+            i += 1
+    out.append((sign, text[start:].strip()))
+    return out
+
+
+def _parse_term(chunk: str):
+    coeff = Fraction(1)
+    ye = te = 0
+    saw_coeff = False
+    for factor in chunk.split("*"):
+        factor = factor.strip()
+        if not factor:
+            raise InvalidInput(f"empty factor in term {chunk!r}")
+        if factor[0] in "yt":
+            var = factor[0]
+            exp = 1
+            if len(factor) > 1:
+                if factor[1] != "^":
+                    raise InvalidInput(f"bad monomial {factor!r}")
+                exp = int(factor[2:])
+            if var == "y":
+                ye += exp
+            else:
+                te += exp
+        else:
+            if saw_coeff:
+                coeff *= Fraction(factor)
+            else:
+                coeff = Fraction(factor)
+                saw_coeff = True
+    return coeff, ye, te

@@ -13,13 +13,17 @@ A tree is the encoding of ``quiverdt.trees``; ``leaf_mask`` and
 from fractions import Fraction
 
 from quiverdt.algebra import LaurentPoly, kappa
-from quiverdt.errors import DivisionByZeroPairing, ZeroSignArgument
+from quiverdt.errors import GenericityError, ZeroSignArgument
 from quiverdt.flow import BracketContext
 from quiverdt.trees import enumerate_trees, is_leaf
 
 from lattice_reference import mask_indices, mask_sum, pair_masks
 
 ROOT = None
+
+
+class DivisionByZeroPairing(GenericityError):
+    """The flow recursion hit a zero pairing: the form is outside U_J."""
 
 
 def leaf_mask(node) -> int:

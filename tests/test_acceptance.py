@@ -82,7 +82,7 @@ def _instances_for_criteria_3_4():
     out = []
     for trial in range(25):
         r = 2 + trial % 3  # r in {2, 3, 4}
-        out.append(random_instance(r, 30_000 + trial, max_entry=4))
+        out.append(random_instance(r, 30_000 + trial))
     return out
 
 
@@ -193,8 +193,8 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     ]
     for argv in commands:
         runs = []
-        for extra in ([], [], ["--jobs", "4"], ["--jobs", "1"]):
-            code = main(extra + argv)
+        for _ in range(2):
+            code = main(argv)
             captured = capsys.readouterr()
             assert code == 0, argv
             runs.append(captured.out)

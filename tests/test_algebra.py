@@ -2,11 +2,12 @@
 
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import reduce
 
 import pytest
-from algebra_reference import canonical_pair
+from algebra_reference import canonical_pair, reference_parse_bilaurent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from quiverdt.algebra import (
     kappa,
     parse_bilaurent,
     parse_laurent,
+    parse_rational,
 )
 from quiverdt.errors import InvalidInput, NotPolynomial
 from quiverdt.lattice import _rng
@@ -34,7 +36,7 @@ def test_kappa_oddness_and_value_at_one():
     for x in range(-20, 21):
         assert kappa(-x) == -kappa(x)
         assert sum(kappa(x).terms().values()) == (-1) ** x * x  # the value at y = 1
-        assert kappa(x).is_integral()
+        assert all(type(c) is int for c in kappa(x).terms().values())
 
 
 def test_substitute_power_examples():
@@ -238,6 +240,75 @@ def test_parse_round_trip():
     p = _random_laurent(rng)
     assert parse_laurent(p.render()) == p
     assert parse_bilaurent("0") == BiLaurent.zero()
+
+
+def test_parse_rational_reads_integers_and_fractions():
+    assert parse_rational("3/2") == Fraction(3, 2) and parse_rational("-1/2") == Fraction(-1, 2)
+    assert parse_rational(" +4/2 ") == 2 and parse_rational("007") == 7
+    assert type(parse_rational("-12")) is int
+
+
+@pytest.mark.parametrize(
+    "text", ["0.5", "1.", ".5", "1e3", "1E3", "1_0", "1/0", "3/00", "", "+", "1/-2", "1 /2", "- 1", "inf", "\u0663"]
+)
+def test_parse_rational_rejects_every_other_literal(text):
+    with pytest.raises(InvalidInput):
+        parse_rational(text)
+
+
+def test_parse_rational_rejects_more_digits_than_int_converts():
+    with pytest.raises(InvalidInput, match="5000 digits"):
+        parse_rational("9" * 5000)
+    with pytest.raises(InvalidInput, match="5000 digits"):
+        parse_bilaurent(f"y^{'9' * 5000}")
+
+
+_MUTATIONS = "0123456789yt^*/+- \t.e_"
+
+
+def _mutate(rng, text: str) -> str:
+    """text with one to three characters inserted, deleted or replaced."""
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(chars))
+        op = rng.randrange(3)
+        if op == 0:
+            chars.insert(i, rng.choice(_MUTATIONS))
+        elif chars and op == 1:
+            del chars[min(i, len(chars) - 1)]
+        elif chars:
+            chars[min(i, len(chars) - 1)] = rng.choice(_MUTATIONS)
+    return "".join(chars)
+
+
+def _parsed_or_none(parse, text: str):
+    try:
+        return parse(text)
+    except (InvalidInput, ValueError, ZeroDivisionError):
+        return None
+
+
+def test_parser_agrees_with_the_reference_parser():
+    # Random renders, half of them mutated: both parsers give the same value or
+    # both reject, except that only the grammar rejects '.', 'e' and '_'.
+    rng = random.Random(34)
+    counts = {"same": 0, "only the grammar rejects": 0}
+    for k in range(10_000):
+        terms = {
+            (rng.randint(-4, 4), rng.randint(-3, 3)): Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 7)))
+            for _ in range(rng.randint(0, 4))
+        }
+        text = BiLaurent(terms).render()
+        if k % 2:
+            text = _mutate(rng, text)
+        new, old = _parsed_or_none(parse_bilaurent, text), _parsed_or_none(reference_parse_bilaurent, text)
+        if set(text) & set(".e_"):
+            assert new is None, text
+            counts["only the grammar rejects" if old is not None else "same"] += 1
+        else:
+            assert new == old, text
+            counts["same"] += 1
+    assert counts["only the grammar rejects"] > 10, counts
 
 
 def test_exact_division_and_not_polynomial():

@@ -279,6 +279,70 @@ def test_attractor_exponent_above_its_bound_exits_2(capsys, kronecker1, tmp_path
         assert code == 0 and captured.out.startswith("Omega_bar = "), captured
 
 
+@pytest.mark.parametrize("digits", [100, 101])
+@pytest.mark.parametrize("place", ["numerator", "denominator"])
+def test_attractor_digits_above_their_bound_exit_2(capsys, kronecker1, tmp_path, place, digits):
+    from quiverdt.dt import MAX_DIGITS
+
+    big = "9" * digits
+    coeff = big if place == "numerator" else f"-1/{big}"
+    table = tmp_path / "attractor.txt"
+    table.write_text(f"gamma = 0,1 ; omega_star = {coeff}\ngamma = 1,0 ; omega_star = {coeff}*y\n")
+    code = main(["dt", "--quiver", kronecker1, "--gamma", "1,1", "--theta", "1,-1", "--attractor", str(table)])
+    captured = capsys.readouterr()
+    if digits > MAX_DIGITS:
+        assert code == 2 and captured.out == "", captured.out
+        assert captured.err == f"error: line 1: a coefficient has more than {MAX_DIGITS} digits\n"
+    else:
+        assert code == 0 and captured.out.startswith("Omega_bar = "), captured
+
+
+@pytest.mark.parametrize("theta, code", [("1.5,-1.5", 2), ("1e0,-1e0", 2), ("1_0,-1_0", 2), ("3/2,-3/2", 0)])
+def test_theta_takes_only_integers_and_fractions(capsys, kronecker1, theta, code):
+    assert main(["dt", "--quiver", kronecker1, "--gamma", "1,1", f"--theta={theta}"]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.err == f"error: bad covector {theta!r}\n", captured.err
+    else:
+        assert captured.out == "Omega_bar = 1\nOmega = 1\n"
+
+
+@pytest.mark.parametrize("where", ["theta", "attractor"])
+def test_huge_exponent_literals_exit_2_at_once(kronecker1, tmp_path, where):
+    # Fraction("1e100000000") builds a 10^8-digit integer: the grammar has no exponent
+    table = tmp_path / "attractor.txt"
+    table.write_text("gamma = 1,0 ; omega_star = 1e100000000\n")
+    argv = ["dt", "--quiver", kronecker1, "--gamma", "1,1"]
+    if where == "theta":
+        argv.append("--theta=1e100000000,-1e100000000")
+    else:
+        argv += ["--theta=1,-1", "--attractor", str(table)]
+    done = subprocess.run(
+        [sys.executable, "-m", "quiverdt", *argv], capture_output=True, text=True, env=_child_env(), timeout=20
+    )
+    assert done.returncode == 2 and done.stdout == "", done
+    assert done.stderr.startswith("error: "), done.stderr
+
+
+def test_class_count_above_its_bound_exits_2(capsys, monkeypatch, kronecker1):
+    from quiverdt import cli
+    from quiverdt.algebra import LaurentPoly
+
+    bound = cli.MAX_CLASSES
+    gammas = ["1,0", "0,1"] * (bound // 2) + ["1,0"]
+    with monkeypatch.context() as patch:  # the bound is checked before any work
+        patch.setattr(cli, "parse_quiver", None)
+        patch.setattr(cli, "flow_tree_scalar", None)
+        code = main(["F", "--quiver", kronecker1, "--gammas", *gammas, "--theta", "1,-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert captured.err == f"error: the class count of --gammas must be at most {bound}, got {bound + 1}\n"
+    # the bound itself runs, here with a stub in place of the flow tree sum
+    monkeypatch.setattr(cli, "flow_tree_scalar", lambda aux, **_: LaurentPoly.const(len(aux.gammas)))
+    code, out = _run(capsys, ["F", "--quiver", kronecker1, "--gammas", *gammas[:bound], "--theta", "1,-1"])
+    assert code == 0 and out == f"{bound}\n", out
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -348,13 +412,6 @@ def test_dt_non_integral_warning(capsys, kronecker1, monkeypatch):
     assert "warning" in captured.err
 
 
-def test_jobs_flag_same_bytes(capsys, kronecker2):
-    argv = ["F", "--quiver", kronecker2, "--gammas", "1,0", "1,0", "0,1", "--theta", "1,-2"]
-    _, one = _run(capsys, ["--jobs", "1"] + argv)
-    _, many = _run(capsys, ["--jobs", "4"] + argv)
-    assert one == many
-
-
 @pytest.mark.parametrize(
     "kind, text",
     [
@@ -367,6 +424,12 @@ def test_jobs_flag_same_bytes(capsys, kronecker2):
         ("attractor", "gamma = -1,2 ; omega_star = 1\n"),
         ("attractor", "gamma = 1,2,3 ; omega_star = 1\n"),
         ("attractor", "gamma = 1,1 ; omega_star = 1\ngamma = 1,1 ; omega_star = 5\n"),
+        ("attractor", "gamma = 1,1 ; omega_star = 0.5\n"),
+        ("attractor", "gamma = 1,1 ; omega_star = 1e3\n"),
+        ("attractor", "gamma = 1,1 ; omega_star = 1_0\n"),
+        pytest.param("attractor", f"gamma = 1,0 ; omega_star = {'7' * 3000}\n"
+                     f"gamma = 0,1 ; omega_star = {'7' * 3000}\n", id="attractor-3000-digits"),
+        pytest.param("attractor", f"gamma = 1,1 ; omega_star = 1/{'1' * 101}*y\n", id="attractor-101-digits"),
     ],
 )
 def test_malformed_files_exit_2(capsys, kronecker1, tmp_path, kind, text):

@@ -138,6 +138,27 @@ def test_attractor_table_parse():
     assert table.omega_star((1, 0)) == RatFunc.one()
 
 
+@pytest.mark.parametrize("line", ["gamma=1,1;omega_star=2", "gamma =  1,1 ;\tomega_star =2  # two"])
+def test_attractor_table_parse_reads_spacing_variants(line):
+    assert AttractorTable.parse(line).omega_star((1, 1)) == RatFunc(2)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "omega_star = 1 ; gamma = 1,1",
+        "gamma = 1,1 ; omega_star = 1 ; omega_star = 1",
+        "gamma = 1,1 = 2 ; omega_star = 1",
+        "gamma = 1,1 ; omega_star = 1 = 2",
+        "gamma = 1,1 , omega_star = 1",
+        "gammas = 1,1 ; omega_star = 1",
+    ],
+)
+def test_attractor_table_parse_rejects_other_entry_shapes(line):
+    with pytest.raises(InvalidInput, match="line 1: expected 'gamma = ... ; omega_star = ...'"):
+        AttractorTable.parse(line)
+
+
 def test_attractor_table_parse_rejects_a_repeated_class():
     with pytest.raises(InvalidInput, match="line 3: class \\(1, 1\\) is listed twice"):
         AttractorTable.parse("gamma = 1,1 ; omega_star = 1\n\ngamma = 1,1 ; omega_star = 5\n")
@@ -278,6 +299,18 @@ def test_cache_record_under_another_key_is_ignored(tmp_path):
     cache.put(other, LaurentPoly.const(5))
     # Move the record to the file of `key`, as a hash collision or a stray copy would.
     cache._path(other).rename(cache._path(key))
+    assert FCache(tmp_path).get(key) is None
+
+
+@pytest.mark.parametrize(
+    "text", ["1/0", "0.5", "1e100000000", "y*t", "9" * 5000],
+    ids=["zero-denominator", "decimal-point", "exponent", "t-power", "5000-digits"],
+)
+def test_cache_record_with_a_malformed_value_is_recomputed(tmp_path, text):
+    key = "r=2|eta=0,1;-1,0|signs=+-0"
+    cache = FCache(tmp_path)
+    cache.put(key, LaurentPoly.const(5))
+    cache._path(key).write_text(f"key {key}\nvalue {text}\nend\n")
     assert FCache(tmp_path).get(key) is None
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from quiverdt.algebra import LaurentPoly, kappa
 from quiverdt.checks import random_instance
-from quiverdt.errors import DivisionByZeroPairing, InvalidInput, ZeroSignArgument
+from quiverdt.errors import InvalidInput, ZeroSignArgument
 from quiverdt.flow import (
     BracketContext,
     _first_generic,
@@ -27,6 +27,7 @@ from quiverdt.lattice import AuxLattice, Quiver, _beta_numerators, _omega_numera
 from quiverdt.trees import is_leaf
 
 from flow_reference import (
+    DivisionByZeroPairing,
     _sign_arguments,
     epsilon_signs,
     laurent_context,

@@ -2,11 +2,10 @@
 
 ``golden_cli.json`` holds, for each case below, the exit code and stdout
 of every command line of the case, in order.  A case runs in a fresh
-directory that holds the quiver files and an empty cache directory, once
-as written and once with ``--jobs 4``; both runs must reproduce the
-recorded bytes.  Two cases also run as ``python -m quiverdt`` in a child
-that cannot import numpy: the program has no runtime dependency, and its
-draws must not need one.  A difference is a change of the CLI contract.  Record
+directory that holds the quiver files and an empty cache directory, and
+must reproduce the recorded bytes.  Two cases also run as ``python -m
+quiverdt`` in a child that cannot import numpy: the program has no
+runtime dependency, and its draws must not need one.  A difference is a change of the CLI contract.  Record
 the file anew (only for an intended change) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -69,7 +68,7 @@ def run_case(name, directory: Path, extra, capture):
     return runs
 
 
-@pytest.mark.parametrize("extra", [[], ["--jobs", "4"]], ids=["plain", "jobs4"])
+@pytest.mark.parametrize("extra", [[]], ids=["plain"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_cli_bytes(name, extra, tmp_path, capsys):
     expected = json.loads(GOLDEN.read_text())[name]

@@ -269,6 +269,10 @@ def test_parse_quiver_and_vectors():
     assert q.arrow_counts == ((0, 3), (0, 0))
     assert parse_dimvec("2,1") == (2, 1)
     assert parse_covector("1,-1/2") == (1, Fraction(-1, 2))
+    assert parse_covector("3/2, -3/2") == (Fraction(3, 2), Fraction(-3, 2))
+    for bad in ("1.5,-1.5", "1e3,-1e3", "1_0,-1_0", "1/0,0", "1,,2"):
+        with pytest.raises(InvalidInput, match="bad covector"):
+            parse_covector(bad)
     with pytest.raises(InvalidInput):
         parse_quiver("arrow 1 2 1\n")
     with pytest.raises(InvalidInput):
