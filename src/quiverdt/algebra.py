@@ -25,7 +25,8 @@ The canonical text rendering (ascending y-exponent, then ascending
 t-exponent, explicit signs, ``y^-1``-style exponents) is the bit-exact
 output contract of the CLI.  The parsers read the same grammar and no
 other: a rational is ``[+-]N`` or ``[+-]N/D`` in decimal digits
-(``parse_rational``), so no decimal point, exponent or digit separator.
+(``parse_rational``), so no decimal point, exponent or digit separator,
+and an integer is ``[+-]N`` (``parse_integer``).
 """
 
 from __future__ import annotations
@@ -578,6 +579,14 @@ def parse_rational(text: str) -> int | Fraction:
         raise InvalidInput(f"bad rational {text!r}")
     num = _int(match[1])
     return num if match[2] is None else Fraction(num, _int(match[2]))
+
+
+def parse_integer(text: str) -> int:
+    """An integer literal [+-]N in decimal digits: a rational literal without a denominator."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None or match[2] is not None:
+        raise InvalidInput(f"bad integer {text!r}")
+    return _int(match[1])
 
 
 def parse_bilaurent(text: str) -> BiLaurent:

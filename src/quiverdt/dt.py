@@ -18,6 +18,21 @@ asserts integrality.
 Universal coefficients depend only on (r, pulled-back form, sign pattern
 of the pulled-back stability point), so they are cached under exactly
 that key, in memory and optionally on disk.
+
+A decomposition whose flow tree sum vanishes at the root split is skipped
+before its lattice is built.  Take parts gamma_1..gamma_r, r >= 2, with
+sum gamma and alpha_i = theta(gamma_i).  The root reads the splits L that
+contain 1, L != I, with eta(e_L, e_I) = <gamma_L, gamma> != 0, and such a
+split contributes only when sgn theta(e_L) = sgn omega(e_L, e_R).  In
+omega mode theta = alpha and every draw omega = eta + R / d keeps eta's
+sign there; in beta mode omega = eta and every start point keeps alpha's
+sign where alpha(e_L) != 0, which holds on these splits, because theta is
+gamma-generic and gamma_L is not collinear with gamma.  So when no L has
+sgn theta(gamma_L) = sgn <gamma_L, gamma>, F = 0 for every draw, every
+seed and both modes (``flow.vanishes_at_root``, from the column M gamma
+and the alphas alone).  Such a decomposition costs no lattice, no cache
+key, no draw and no record, and it cannot raise: its alpha is generic.
+r = 1 is never skipped, since its value is the leaf 1.
 """
 
 from __future__ import annotations
@@ -29,17 +44,17 @@ import re
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .algebra import BiLaurent, LaurentPoly, RatFunc, kappa, parse_bilaurent, parse_laurent
 from .errors import InvalidInput, NotGenericTheta, NotOnWall, NotPolynomial
-from .flow import flow_tree_scalar
+from .flow import flow_tree_scalar, vanishes_at_root
 from .lattice import (
     AuxLattice,
     Pullback,
     Quiver,
     _iter_box,
+    as_fractions,
     is_gamma_generic,
     is_positive_dimvec,
     parse_dimvec,
@@ -332,9 +347,15 @@ def assemble_dt(
     budget: int = 1000,
     cache: FCache | None = None,
 ) -> RatFunc:
-    """Rational DT invariant of gamma at theta from the attractor table."""
+    """Rational DT invariant of gamma at theta from the attractor table.
+
+    theta needs int or Fraction entries.  A decomposition whose flow tree
+    sum vanishes at the root split for every draw is skipped before its
+    lattice is built (see the module docstring): it makes no cache key,
+    no draw and no cache record.
+    """
     gamma = tuple(gamma)
-    theta = tuple(Fraction(x) for x in theta)
+    theta = as_fractions(theta, "theta")
     if not is_positive_dimvec(gamma):
         raise InvalidInput(f"not a positive dimension vector: {gamma}")
     if len(theta) != q.vertex_count or len(gamma) != q.vertex_count:
@@ -349,6 +370,9 @@ def assemble_dt(
     allowed_parts = [p for p in _iter_box(gamma) if not table.rational_value(p).is_zero()]
     numerators: dict = {}  # weight denominator -> sum of F(D) * weight numerator
     for decomp in enumerate_decompositions(gamma, parts=allowed_parts):
+        alpha = [pullback.theta_of(p) for p in decomp.parts]
+        if vanishes_at_root(pullback.pairings(decomp.parts, gamma), alpha):
+            continue
         aux = pullback.aux(decomp.parts)
         coeff = universal_coefficient(aux, mode=mode, seed=seed, budget=budget, cache=cache)
         if coeff.is_zero():

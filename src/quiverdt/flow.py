@@ -178,6 +178,27 @@ def _evaluate(mask: int, theta, eta, form, ctx: BracketContext, tables: dict):
     return total
 
 
+def vanishes_at_root(pairings, alpha) -> bool:
+    """True when no split at the root can contribute, whatever the draw: then F(I) = 0.
+
+    ``pairings`` are the row pairings eta(e_i, e_I) and ``alpha`` the
+    unperturbed stability point, int or Fraction entries.  The root of
+    ``_evaluate`` reads, in this order, the splits L containing 1, L != I,
+    with eta(e_L, e_I) != 0, and a split contributes only when theta(e_L)
+    and omega(e_L, e_R) have one sign.  Every omega draw keeps the sign of
+    eta on such a split, and every beta draw the sign of alpha where alpha
+    is nonzero.  So when alpha is nonzero with the sign opposite to eta on
+    every split read, neither mode reads a contributing split, and none of
+    them raises: alpha is then also generic, since each proper subset or
+    its complement is read.  r = 1 is the leaf 1, never certified.
+    """
+    if len(alpha) < 2:
+        return False
+    etas = subset_sums(pairings[1:], pairings[0])
+    thetas = subset_sums(alpha[1:], alpha[0])
+    return all(a and (a > 0) != (b > 0) for a, b in zip(thetas[:-1], etas) if b)
+
+
 def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
     """Flow tree map of the index subset ``indices``, started at alpha0.
 

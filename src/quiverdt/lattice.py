@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import parse_rational
+from .algebra import parse_integer, parse_rational
 from .errors import InvalidInput, NotGenericAlpha, NotOnWall
 
 PERTURBATION_DENOM = 2 ** 16
@@ -211,6 +211,19 @@ class AuxLattice:
         return len(self.gammas)
 
 
+def as_fractions(values, name: str) -> tuple:
+    """The entries as Fractions; InvalidInput unless each one is an int or a Fraction.
+
+    Text is read by the grammar of ``algebra.parse_rational``, never here:
+    Fraction(str) reads '1e3' and '1_000', and builds the integer of
+    '1e100000000' before anything can reject it.
+    """
+    values = tuple(values)
+    if not all(isinstance(x, (int, Fraction)) for x in values):
+        raise InvalidInput(f"{name} needs int or Fraction entries")
+    return tuple(Fraction(x) for x in values)
+
+
 class Pullback:
     """The Euler form and one stability point, pulled back along e_i -> gamma_i.
 
@@ -221,7 +234,7 @@ class Pullback:
     """
 
     def __init__(self, q: Quiver, theta):
-        theta = tuple(Fraction(x) for x in theta)
+        theta = as_fractions(theta, "theta")
         if len(theta) != q.vertex_count:
             raise InvalidInput("stability parameter has wrong length")
         self.denominator = math.lcm(*(t.denominator for t in theta))
@@ -240,6 +253,15 @@ class Pullback:
     def theta_of(self, g):
         """theta(g), an int when it is integral."""
         return self._class(g)[1]
+
+    def pairings(self, gammas, gamma) -> tuple:
+        """<gamma_i, gamma> per class, read off the column M gamma.
+
+        When the gamma_i sum to gamma these are the row pairings eta(e_i, e_I)
+        of their auxiliary lattice, found without building it.
+        """
+        column = self._class(gamma)[0]
+        return tuple(dot(g, column) for g in gammas)
 
     def aux(self, gammas) -> AuxLattice:
         """The auxiliary lattice of classes gamma_i summing to a class on the wall."""
@@ -475,8 +497,8 @@ def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
 
 def _int_fields(fields, lineno: int) -> list:
     try:
-        return [int(x) for x in fields]
-    except ValueError as exc:
+        return [parse_integer(x) for x in fields]
+    except InvalidInput as exc:
         raise InvalidInput(f"line {lineno}: expected integers, got {' '.join(fields)!r}") from exc
 
 
@@ -514,12 +536,9 @@ def parse_quiver(text: str) -> Quiver:
 
 def parse_dimvec(text: str) -> tuple:
     try:
-        vec = tuple(int(x) for x in text.split(","))
-    except ValueError as exc:
+        return tuple(parse_integer(x) for x in text.split(","))
+    except InvalidInput as exc:
         raise InvalidInput(f"bad dimension vector {text!r}") from exc
-    if not vec:
-        raise InvalidInput("empty dimension vector")
-    return vec
 
 
 def parse_covector(text: str) -> tuple:

@@ -37,6 +37,7 @@ from .errors import (
 from .flow import _evaluate, _first_generic, scalar_context
 from .lattice import (
     AuxLattice,
+    as_fractions,
     check_skew,
     dot,
     integral_multiple,
@@ -303,14 +304,15 @@ def dt_from_rank2(diag: Rank2Diagram, gamma, theta) -> RatFunc:
 
     theta must lie on the wall of gamma; the ray containing theta is the
     attractor side or the scattered side, and the value is the stored
-    coefficient there (zero when no ray carries the class).
+    coefficient there (zero when no ray carries the class).  theta needs
+    int or Fraction entries.
     """
     gamma = _rank2_class(gamma, "class")
     if not is_positive_dimvec(gamma):
         raise InvalidInput(f"not a positive class: {gamma}")
     if sum(gamma) > diag.degree_bound:
         raise DegreeExceeded(f"delta({gamma}) exceeds the degree bound {diag.degree_bound}")
-    theta = tuple(Fraction(x) for x in theta)
+    theta = as_fractions(theta, "theta")
     if len(theta) != 2:
         raise InvalidInput("theta must have length 2")
     if dot(theta, gamma) != 0:

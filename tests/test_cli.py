@@ -307,6 +307,34 @@ def test_theta_takes_only_integers_and_fractions(capsys, kronecker1, theta, code
         assert captured.out == "Omega_bar = 1\nOmega = 1\n"
 
 
+@pytest.mark.parametrize(
+    "where, text",
+    [
+        ("gamma", "1_0,1"),
+        ("gammas", "\u0663,0"),
+        ("attractor", "gamma = \u0663,0 ; omega_star = 1\n"),
+        ("quiver", "vertices \u0662\narrow 1 2 1\n"),
+        ("quiver", "vertices 2\narrow 1 2 1_0\n"),
+    ],
+)
+def test_integers_take_only_ascii_digits(capsys, kronecker1, tmp_path, where, text):
+    # int() alone reads '1_0' as 10 and the Arabic-Indic digits as 3 and 2
+    path = tmp_path / f"input.{where}"
+    path.write_text(text, encoding="utf-8")
+    quiver = str(path) if where == "quiver" else kronecker1
+    if where == "gammas":
+        argv = ["F", "--quiver", quiver, "--gammas", text, "0,3", "--theta", "1,-1"]
+    elif where == "gamma":  # read as (10, 1), it lies on the wall of theta
+        argv = ["dt", "--quiver", quiver, "--gamma", text, "--theta=1,-10"]
+    else:
+        argv = ["dt", "--quiver", quiver, "--gamma", "1,1", "--theta", "1,-1"]
+        argv += ["--attractor", str(path)] if where == "attractor" else []
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert captured.err.startswith("error: "), captured.err
+
+
 @pytest.mark.parametrize("where", ["theta", "attractor"])
 def test_huge_exponent_literals_exit_2_at_once(kronecker1, tmp_path, where):
     # Fraction("1e100000000") builds a 10^8-digit integer: the grammar has no exponent

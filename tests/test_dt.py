@@ -18,8 +18,9 @@ from quiverdt.dt import (
     rational_from_integer,
 )
 from quiverdt.errors import InvalidInput, NotGenericTheta, NotOnWall, NotPolynomial
+from quiverdt import dt
 from quiverdt.flow import flow_tree_scalar
-from quiverdt.lattice import Quiver, _rng, build_aux, dot
+from quiverdt.lattice import Pullback, Quiver, _rng, build_aux, dot
 
 
 def _parts(gamma, **kw):
@@ -192,6 +193,37 @@ def test_assemble_errors():
         assemble_dt(a2, (1, 1), (0, 0), table)
 
 
+@pytest.mark.parametrize("theta", [("0.5", "-0.5"), ("1e3", "-1_000"), (0.5, -0.5)])
+def test_assemble_dt_takes_only_int_or_fraction_theta(theta):
+    table = AttractorTable(acyclic_default=True)
+    with pytest.raises(InvalidInput, match="theta needs int or Fraction entries"):
+        assemble_dt(Quiver.kronecker(1), (1, 1), theta, table)
+
+
+def test_decompositions_vanishing_at_the_root_build_no_lattice(monkeypatch):
+    # Kronecker-2 (2, 2) has four decompositions under the acyclic table, of
+    # r = 2, 3, 3 and 4.  At (-1, 1) every one vanishes at the root split.
+    k2, table = Quiver.kronecker(2), AttractorTable(acyclic_default=True)
+    want = dt_reference.assemble_dt(k2, (2, 2), (1, -1), table)
+    flows, lattices = [], []  # the r of each flow evaluation, the parts of each lattice
+    flow, aux = dt.flow_tree_scalar, Pullback.aux
+
+    def recording_flow(lattice, **kwargs):
+        flows.append(lattice.r)
+        return flow(lattice, **kwargs)
+
+    def recording_aux(self, gammas):
+        lattices.append(tuple(gammas))
+        return aux(self, gammas)
+
+    monkeypatch.setattr(dt, "flow_tree_scalar", recording_flow)
+    monkeypatch.setattr(Pullback, "aux", recording_aux)
+    assert assemble_dt(k2, (2, 2), (-1, 1), table) == RatFunc.zero()
+    assert flows == [] and lattices == []
+    assert assemble_dt(k2, (2, 2), (1, -1), table) == want
+    assert sorted(flows) == [2, 3, 3, 4] and len(lattices) == 4
+
+
 def test_skipping_soundness():
     # adding explicit zero entries never changes the result
     k2 = Quiver.kronecker(2)
@@ -341,6 +373,10 @@ DIFFERENTIAL_CASES = [
     (Q3, (2, 2, 2), (2, Fraction(7, 2), Fraction(-11, 2)), ACYCLIC),
     (CYCLIC, (2, 2, 1), (-5, -2, 14), NON_ACYCLIC),
     (CYCLIC, (1, 1, 2), (Fraction(-8, 3), Fraction(1, 2), Fraction(13, 12)), NON_ACYCLIC),
+    # Nonzero values with decompositions skipped at the root: 3 of 9, 3 of 5 and 1 of 4.
+    (CYCLIC, (2, 2, 1), (-64, 106, -84), NON_ACYCLIC),
+    (CYCLIC, (1, 1, 2), (-16, 88, -36), NON_ACYCLIC),
+    (CYCLIC, (2, 1, 1), (33, -67, 1), NON_ACYCLIC),
 ]
 
 
@@ -368,6 +404,23 @@ def test_differential_cases_are_not_trivial():
     }
     assert len(renders) == len(DIFFERENTIAL_CASES)
     assert sum(" / " in text for text in renders) >= 5
+
+
+def test_differential_cases_skip_decompositions_at_the_root(monkeypatch):
+    # The term-by-term reference evaluates every decomposition, so the
+    # differential test covers the skip only if it fires in these cases.
+    certified = []
+    vanishes = dt.vanishes_at_root
+
+    def recording(pairings, alpha):
+        certified.append(vanishes(pairings, alpha))
+        return certified[-1]
+
+    monkeypatch.setattr(dt, "vanishes_at_root", recording)
+    for q, gamma, theta, table in DIFFERENTIAL_CASES[-3:]:
+        certified.clear()
+        assert not assemble_dt(q, gamma, theta, table).is_zero()
+        assert any(certified) and not all(certified), (gamma, theta)
 
 
 def _random_decomposition(rng, q):

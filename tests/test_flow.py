@@ -22,8 +22,16 @@ from quiverdt.flow import (
     flow_tree_scalar,
     flow_tree_sum,
     scalar_context,
+    vanishes_at_root,
 )
-from quiverdt.lattice import AuxLattice, Quiver, _beta_numerators, _omega_numerators, build_aux
+from quiverdt.lattice import (
+    AuxLattice,
+    Quiver,
+    _beta_numerators,
+    _omega_numerators,
+    alpha_is_generic,
+    build_aux,
+)
 from quiverdt.trees import is_leaf
 
 from flow_reference import (
@@ -183,6 +191,57 @@ def test_scalar_perturbation_independence_quick():
         for seed in (1, 2):
             assert flow_tree_scalar(aux, mode="omega", seed=seed) == base
         assert flow_tree_scalar(aux, mode="beta", seed=0) == base
+
+
+def _root_skip_instances(r, trials):
+    """Random lattices of rank r: each random_instance, then its form at an alpha near -eta(e_i, e_I).
+
+    At alpha = -eta(e_i, e_I) every split the root reads has alpha against
+    eta; a small zero-sum shift keeps that on some draws and not on others.
+    """
+    rng = random.Random(f"root-skip/{r}")
+    for trial in range(trials):
+        aux = random_instance(r, 700 + trial)
+        yield aux
+        shift = [rng.randint(-3, 3) for _ in range(r - 1)]
+        shift.append(-sum(shift))
+        alpha = tuple(-2 * sum(row) + s for row, s in zip(aux.eta, shift))
+        if alpha_is_generic(aux.eta, alpha):
+            yield AuxLattice(gammas=aux.gammas, eta=aux.eta, alpha=alpha)
+
+
+def test_vanishes_at_root_certifies_only_zero_flow_tree_sums():
+    # The certificate reads alpha and the row pairings eta(e_i, e_I) alone, so
+    # wherever it holds, every mode and seed must give F = 0.
+    fired = []
+    for r in range(2, 8):
+        for aux in _root_skip_instances(r, 30):
+            if not vanishes_at_root([sum(row) for row in aux.eta], aux.alpha):
+                continue
+            fired.append(r)
+            for mode in ("omega", "beta"):
+                for seed in (0, 1):
+                    value = flow_tree_scalar(aux, mode=mode, seed=seed)
+                    assert value == LaurentPoly.zero(), (r, aux.alpha, mode, seed)
+    assert len(fired) >= 30 and set(fired) == set(range(2, 8)), fired
+
+
+def test_vanishes_at_root_reads_the_sign_rule_of_the_root():
+    # Kronecker-2 at (1, -1): the one split {1} contributes, F = -kappa(2);
+    # at (-1, 1) it does not, F = 0.  Row pairings: <gamma_1, gamma> = 2.
+    assert not vanishes_at_root((2, -2), (1, -1))
+    assert vanishes_at_root((2, -2), (-1, 1))
+    assert vanishes_at_root((2, -2), (Fraction(-1, 2), Fraction(1, 2)))
+    # A zero alpha on a split that is read is left to the evaluator, which raises.
+    assert not vanishes_at_root((2, -2), (0, 0))
+    # No split read: the sum is empty.
+    assert vanishes_at_root((0, 0, 0), (1, 2, -3))
+
+
+def test_vanishes_at_root_never_certifies_a_single_class():
+    # r = 1 reads no split, yet its value is the leaf 1.
+    assert not vanishes_at_root((0,), (0,))
+    assert flow_tree_scalar(AuxLattice(gammas=((1,),), eta=((0,),), alpha=(0,))) == LaurentPoly.const(1)
 
 
 def test_scalar_invalid_mode():

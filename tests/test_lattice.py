@@ -24,6 +24,7 @@ from quiverdt.flow import _first_generic
 from quiverdt.lattice import (
     MAX_VERTICES,
     AuxLattice,
+    Pullback,
     Quiver,
     SkewForm,
     _beta_numerators,
@@ -281,6 +282,18 @@ def test_parse_quiver_and_vectors():
         parse_dimvec("2,x")
 
 
+def test_integers_take_only_ascii_digits_with_an_optional_sign():
+    # int() alone would read '1_0' as 10 and the Arabic-Indic digits as 3 and 2
+    assert parse_dimvec("+2, -1,0") == (2, -1, 0)
+    assert parse_quiver("vertices +2\narrow 1 +2 3\n").arrow_counts == ((0, 3), (0, 0))
+    for bad in ("1_0,1", "1,\u0663", "1.0,1", "1/1,1", "1,", ""):
+        with pytest.raises(InvalidInput, match="bad dimension vector"):
+            parse_dimvec(bad)
+    for text in ("vertices \u0662\n", "vertices 2\narrow 1 2 1_0\n", "vertices 2\narrow 1 2 1e1\n"):
+        with pytest.raises(InvalidInput, match="expected integers"):
+            parse_quiver(text)
+
+
 def test_parse_quiver_vertex_limit():
     assert parse_quiver(f"vertices {MAX_VERTICES}\n").vertex_count == MAX_VERTICES
     for count in (0, MAX_VERTICES + 1, 10 ** 12):
@@ -291,6 +304,13 @@ def test_parse_quiver_vertex_limit():
 def test_skewform_validation():
     with pytest.raises(InvalidInput):
         SkewForm(((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("theta", [("1e3", "-1_000"), ("1e100000000", "-1"), (0.5, -0.5), (1, None)])
+def test_pullback_takes_only_int_or_fraction_theta(theta):
+    # Fraction('1e100000000') would build a 10^8-digit integer before any check
+    with pytest.raises(InvalidInput, match="theta needs int or Fraction entries"):
+        Pullback(Quiver.kronecker(1), theta)
 
 
 @pytest.mark.parametrize("alpha", [("1", "-1"), (0.5, -0.5), (1, None)])

@@ -285,6 +285,14 @@ def test_dt_from_rank2_rejects_a_class_that_is_not_an_integer_pair(bad):
         dt_from_rank2(diag, bad, (1, -1))
 
 
+@pytest.mark.parametrize("theta", [("1", "-1"), ("1e3", "-1_000"), (0.5, -0.5)])
+def test_dt_from_rank2_takes_only_int_or_fraction_theta(theta):
+    # Fraction(str) would read '1e3' and '1_000' as 1000: text goes through the grammar
+    diag = reconstruct_rank2({(1, 0): 1, (0, 1): 1}, ((0, 1), (-1, 0)), 2)
+    with pytest.raises(InvalidInput, match="theta needs int or Fraction entries"):
+        dt_from_rank2(diag, (1, 1), theta)
+
+
 def test_joint_consistency_rank2():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (0, 1)], (1, -1))
     report = check_joint_consistency(aux, seed=0)
