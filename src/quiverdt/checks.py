@@ -55,16 +55,16 @@ def random_instance(r: int, seed: int) -> AuxLattice:
     raise GenericityError(f"no generic random instance for r={r}, seed={seed}")
 
 
-def check_perturbation(r: int, trials: int, seed: int = 0) -> CheckResult:
+def check_perturbation(r: int, trials: int, seed: int = 0, budget: int = 1000) -> CheckResult:
     """flow_tree_scalar is the same for omega seeds 0..4 and in beta mode, per instance."""
     result = CheckResult(passed=True)
     for trial in range(trials):
         aux = random_instance(r, seed * 1000 + trial)
         values = [
-            flow_tree_scalar(aux, mode="omega", seed=s).render()
+            flow_tree_scalar(aux, mode="omega", seed=s, budget=budget).render()
             for s in range(5)
         ]
-        beta_value = flow_tree_scalar(aux, mode="beta", seed=0).render()
+        beta_value = flow_tree_scalar(aux, mode="beta", seed=0, budget=budget).render()
         if any(v != values[0] for v in values[1:]) or beta_value != values[0]:
             result.passed = False
             result.locus = f"trial={trial} eta={aux.eta} alpha={aux.alpha}"
@@ -73,13 +73,13 @@ def check_perturbation(r: int, trials: int, seed: int = 0) -> CheckResult:
     return result
 
 
-def check_joints(r: int, trials: int, seed: int = 0) -> CheckResult:
+def check_joints(r: int, trials: int, seed: int = 0, budget: int = 1000) -> CheckResult:
     """check_joint_consistency passes on random instances."""
     result = CheckResult(passed=True)
     for trial in range(trials):
         aux = random_instance(r, seed * 1000 + trial)
         try:
-            report = check_joint_consistency(aux, seed=trial)
+            report = check_joint_consistency(aux, seed=trial, budget=budget)
         except ConsistencyFailure as exc:
             result.passed = False
             result.locus = f"trial={trial} joint={exc.joint} reason={exc}"
@@ -139,7 +139,7 @@ def rank2_initial_data(table: AttractorTable, degree_bound: int) -> dict:
     return initial
 
 
-def check_oracle(m: int, max_dim: int, seed: int = 0) -> CheckResult:
+def check_oracle(m: int, max_dim: int, seed: int = 0, budget: int = 1000) -> CheckResult:
     """assemble_dt equals the rank-2 scattering oracle on every small class."""
     result = CheckResult(passed=True)
     quiver = Quiver.kronecker(m)
@@ -153,9 +153,7 @@ def check_oracle(m: int, max_dim: int, seed: int = 0) -> CheckResult:
             if not any(gamma):
                 continue
             for theta in _chamber_representatives(quiver, gamma):
-                flows = assemble_dt(
-                    quiver, gamma, theta, table, seed=seed, cache=cache
-                )
+                flows = assemble_dt(quiver, gamma, theta, table, seed=seed, budget=budget, cache=cache)
                 oracle = dt_from_rank2(diagram, gamma, theta)
                 if not flows == oracle:
                     result.passed = False

@@ -15,7 +15,7 @@ import traceback
 from pathlib import Path
 
 from . import checks
-from .algebra import BiLaurent
+from .algebra import BiLaurent, parse_integer
 from .dt import AttractorTable, FCache, assemble_divisors, integer_from_rational
 from .errors import (
     ConsistencyFailure,
@@ -57,13 +57,21 @@ def _check_count(flag: str, value: int) -> None:
         raise InvalidInput(f"{flag} must be at least 1, got {value}")
 
 
+def _integer(text: str) -> int:
+    """An integer option read by the input grammar; argparse reports a bad one and exits 2."""
+    try:
+        return parse_integer(text)
+    except InvalidInput as exc:  # parse_args runs before main's handlers
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiverdt",
         description="Refined DT invariants of quivers via the flow tree formula.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="perturbation seed")
-    parser.add_argument("--budget", type=int, default=1000, help="resample budget")
+    parser.add_argument("--seed", type=_integer, default=0, help="perturbation seed")
+    parser.add_argument("--budget", type=_integer, default=1000, help="resample budget")
     parser.add_argument("--cache", default=None, help="directory for the on-disk F-cache")
     parser.add_argument(
         "--format", choices=["text", "machine"], default="text", help="output format"
@@ -71,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trees = sub.add_parser("trees", help="enumerate decorated binary trees")
-    p_trees.add_argument("r", type=int)
+    p_trees.add_argument("r", type=_integer)
 
     p_f = sub.add_parser("F", help="universal flow tree coefficient")
     p_f.add_argument("--quiver", required=True, help="quiver file")
@@ -89,16 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="rank-2 scattering oracle")
     p_oracle.add_argument("kind", choices=["rank2"])
     p_oracle.add_argument("--quiver", default=None, help="rank-2 quiver file")
-    p_oracle.add_argument("--m", type=int, default=None, help="Kronecker arrow count")
-    p_oracle.add_argument("--degree", type=int, required=True, help="degree bound")
+    p_oracle.add_argument("--m", type=_integer, default=None, help="Kronecker arrow count")
+    p_oracle.add_argument("--degree", type=_integer, required=True, help="degree bound")
     p_oracle.add_argument("--attractor", default=None, help="attractor table file (default: acyclic)")
 
     p_check = sub.add_parser("check", help="theorem-backed verification drivers")
-    p_check.add_argument("kind", choices=["perturbation", "joints", "multicover", "oracle"])
-    p_check.add_argument("--r", type=int, default=3)
-    p_check.add_argument("--trials", type=int, default=5)
-    p_check.add_argument("--m", type=int, default=2)
-    p_check.add_argument("--max-dim", type=int, default=4)
+    kinds = p_check.add_subparsers(dest="kind", required=True)
+    for kind in ("perturbation", "joints", "multicover"):
+        p_kind = kinds.add_parser(kind)
+        if kind != "multicover":
+            p_kind.add_argument("--r", type=_integer, default=3)
+        p_kind.add_argument("--trials", type=_integer, default=5)
+    p_kind = kinds.add_parser("oracle")
+    p_kind.add_argument("--m", type=_integer, default=2)
+    p_kind.add_argument("--max-dim", type=_integer, default=4)
     return parser
 
 
@@ -191,20 +203,18 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_check(args, out) -> int:
-    _check_count("--trials", args.trials)
-    if args.kind in ("perturbation", "joints"):
-        _check_r(args.r)
     if args.kind == "oracle":
         _check_at_most("--max-dim", args.max_dim, MAX_CHECK_DIM)
         _check_at_most("--m", args.m, MAX_ARROWS)
-    if args.kind == "perturbation":
-        result = checks.check_perturbation(args.r, args.trials, seed=args.seed)
-    elif args.kind == "joints":
-        result = checks.check_joints(args.r, args.trials, seed=args.seed)
+        result = checks.check_oracle(args.m, args.max_dim, seed=args.seed, budget=args.budget)
     elif args.kind == "multicover":
+        _check_count("--trials", args.trials)
         result = checks.check_multicover(args.trials, seed=args.seed)
     else:
-        result = checks.check_oracle(args.m, args.max_dim, seed=args.seed)
+        _check_count("--trials", args.trials)
+        _check_r(args.r)
+        driver = checks.check_perturbation if args.kind == "perturbation" else checks.check_joints
+        result = driver(args.r, args.trials, seed=args.seed, budget=args.budget)
     machine = args.format == "machine"
     if not machine:
         for line in result.lines:

@@ -132,7 +132,7 @@ def test_criterion_7_joint_consistency():
     assert result.passed, result.locus
     result = check_joints(4, 10)
     assert result.passed, result.locus
-    with pytest.raises(ConsistencyFailure):
+    with pytest.raises(ConsistencyFailure, match="first segment"):
         check_joint_consistency(random_instance(3, 77), seed=0, corrupt=True)
     _report(7, "joint consistency", started, 60)
 

@@ -211,6 +211,98 @@ def test_check_r_out_of_range_exits_2(capsys, monkeypatch, kind, r):
     assert code == 2 and err == f"error: r must be between 1 and 10, got {r}\n", err
 
 
+# the options each check kind reads; every other (kind, option) pair is refused
+CHECK_OPTIONS = {
+    "perturbation": ("--r", "--trials"),
+    "joints": ("--r", "--trials"),
+    "multicover": ("--trials",),
+    "oracle": ("--m", "--max-dim"),
+}
+FOREIGN_OPTIONS = [
+    (kind, flag)
+    for kind in CHECK_OPTIONS
+    for flag in ("--r", "--trials", "--m", "--max-dim")
+    if flag not in CHECK_OPTIONS[kind]
+]
+
+
+@pytest.mark.parametrize("kind", sorted(CHECK_OPTIONS))
+def test_each_check_kind_takes_the_options_it_reads(kind):
+    from quiverdt.cli import build_parser
+
+    argv = ["check", kind]
+    for flag in CHECK_OPTIONS[kind]:
+        argv += [flag, "2"]
+    args = vars(build_parser().parse_args(argv))
+    for key in ("seed", "budget", "cache", "format", "command", "kind"):
+        del args[key]
+    assert args == {flag[2:].replace("-", "_"): 2 for flag in CHECK_OPTIONS[kind]}
+    assert sum(map(len, CHECK_OPTIONS.values())) == 7 and len(FOREIGN_OPTIONS) == 9
+
+
+@pytest.mark.parametrize("kind, flag", FOREIGN_OPTIONS)
+def test_option_a_check_kind_does_not_read_exits_2(capsys, monkeypatch, kind, flag):
+    from quiverdt import checks
+
+    monkeypatch.setattr(checks, f"check_{kind}", None)  # refused before any work
+    code = main(["check", kind, flag, "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert f"unrecognized arguments: {flag} 2" in captured.err, captured.err
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "1e3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "{v}", "check", "multicover", "--trials", "1"],
+        ["--budget", "{v}", "trees", "1"],
+        ["trees", "{v}"],
+        ["oracle", "rank2", "--m", "{v}", "--degree", "2"],
+        ["oracle", "rank2", "--m", "1", "--degree", "{v}"],
+        *(["check", kind, flag, "{v}"] for kind, flags in CHECK_OPTIONS.items() for flag in flags),
+    ],
+    ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "{v}"),
+)
+def test_integer_options_take_only_the_input_grammar(capsys, monkeypatch, argv, text):
+    from quiverdt import checks, cli
+
+    # int() reads '1_0' as 10 and the Arabic-Indic digit as 3; the grammar refuses both before any work
+    for name in ("check_perturbation", "check_joints", "check_multicover", "check_oracle"):
+        monkeypatch.setattr(checks, name, None)
+    monkeypatch.setattr(cli, "enumerate_trees", None)
+    monkeypatch.setattr(cli, "reconstruct_rank2", None)
+    code = main([a.format(v=text) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert f"bad integer {text!r}" in captured.err, captured.err
+
+
+def test_integer_options_keep_their_sign(capsys):
+    from quiverdt.cli import _integer
+
+    assert (_integer("-3"), _integer("+3")) == (-3, 3)
+    runs = [_run(capsys, ["--seed", seed, "check", "perturbation", "--trials", "1"]) for seed in ("3", "+3", "-3")]
+    assert [code for code, _ in runs] == [0, 0, 0] and runs[0] == runs[1], runs
+
+
+def test_budget_reaches_every_check_that_samples(capsys, monkeypatch):
+    from quiverdt import checks
+
+    seen = []
+    for name in ("flow_tree_scalar", "check_joint_consistency", "assemble_dt"):
+        def recording(*args, _name=name, _original=getattr(checks, name), **kwargs):
+            seen.append((_name, kwargs.get("budget")))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(checks, name, recording)
+    for argv in (["perturbation", "--r", "2", "--trials", "2"], ["joints", "--trials", "2"], ["oracle", "--m", "1"]):
+        code, out = _run(capsys, ["--budget", "7", "check", *argv])
+        assert code == 0 and out.endswith("PASS\n"), out
+    assert {name for name, _ in seen} == {"flow_tree_scalar", "check_joint_consistency", "assemble_dt"}
+    assert {budget for _, budget in seen} == {7}
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -320,7 +320,7 @@ def test_flow_tree_map_matches_joint_wall_value():
 
 def test_joint_consistency_negative_control():
     aux = random_instance(3, 7)
-    with pytest.raises(ConsistencyFailure):
+    with pytest.raises(ConsistencyFailure, match="first segment"):
         check_joint_consistency(aux, seed=0, corrupt=True)
 
 
