@@ -65,17 +65,26 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+# Each global flag's default and the commands that read it ("check" for every
+# kind); the parser leaves a flag not given at None, and ``_read_global_flags``
+# refuses one given to any other command.
+GLOBAL_FLAGS = {
+    "seed": (0, ("F", "dt", "check")),
+    "budget": (1000, ("F", "dt", "check perturbation", "check joints", "check oracle")),
+    "cache": (None, ("dt",)),
+    "format": ("text", ("trees", "F", "dt", "check")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quiverdt",
         description="Refined DT invariants of quivers via the flow tree formula.",
     )
-    parser.add_argument("--seed", type=_integer, default=0, help="perturbation seed")
-    parser.add_argument("--budget", type=_integer, default=1000, help="resample budget")
-    parser.add_argument("--cache", default=None, help="directory for the on-disk F-cache")
-    parser.add_argument(
-        "--format", choices=["text", "machine"], default="text", help="output format"
-    )
+    parser.add_argument("--seed", type=_integer, help="perturbation seed (default 0)")
+    parser.add_argument("--budget", type=_integer, help="resample budget (default 1000)")
+    parser.add_argument("--cache", help="directory for the on-disk F-cache")
+    parser.add_argument("--format", choices=["text", "machine"], help="output format (default text)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_trees = sub.add_parser("trees", help="enumerate decorated binary trees")
@@ -112,6 +121,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_kind.add_argument("--m", type=_integer, default=2)
     p_kind.add_argument("--max-dim", type=_integer, default=4)
     return parser
+
+
+def _read_global_flags(parser, args) -> None:
+    """Fill in the global flags not given; one given to a command that does not read it exits 2."""
+    command = " ".join(filter(None, (args.command, getattr(args, "kind", None))))
+    for name, (default, readers) in GLOBAL_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.command not in readers and command not in readers:
+            parser.error(f"--{name} is not read by {command}")
 
 
 def _read_input(path) -> str:
@@ -230,6 +249,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _read_global_flags(parser, args)
     except SystemExit as exc:
         return 2 if exc.code else 0
     out = sys.stdout

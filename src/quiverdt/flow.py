@@ -43,8 +43,9 @@ taken as at least 1, so that w >= 2 and a single leaf, 1, fits too.
 
 Evaluation doubles as the certificate of a sampled perturbation: every
 sign argument the sum depends on is read, and a zero one raises
-ZeroSignArgument.  ``_first_generic``, the one sampler, therefore
-evaluates the integer draws of ``lattice`` in turn and returns the first
+ZeroSignArgument.  ``_first_generic`` is the one place that accepts or
+rejects a perturbation: it checks alpha once, evaluates the integer
+draws of ``lattice``, one per resample, in turn, and returns the first
 one whose evaluation goes through, as (W, d, F) with the draw W / d.
 """
 
@@ -54,11 +55,12 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .algebra import LaurentPoly
-from .errors import InvalidInput, SamplingTimeout, ZeroSignArgument
+from .errors import InvalidInput, NotGenericAlpha, SamplingTimeout, ZeroSignArgument
 from .lattice import (
     AuxLattice,
     _beta_numerators,
     _omega_numerators,
+    alpha_is_generic,
     check_skew,
     integral_multiple,
     subset_sums,
@@ -241,9 +243,23 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
     The draw is numerators / d.  In omega mode the draws are perturbed
     forms and the flow starts at alpha; in beta mode they are perturbed
     start points and the form is eta itself.  Both go to the evaluator as
-    the integers ``lattice`` draws them in.  The omega draws already lie in
-    U^eta, and an evaluation that goes through certifies U_{I,alpha}; the
-    first beta draw is alpha itself, as A / c with c its lcm denominator.
+    the integers ``lattice`` draws them in, one per resample; the first
+    beta draw is alpha itself, as A / c with c its lcm denominator.  An
+    alpha that fails the finite genericity test raises NotGenericAlpha
+    before any draw, and ``budget`` resamples without an evaluation that
+    goes through raise SamplingTimeout.
+
+    An evaluation that goes through is the whole certificate.  The omega
+    draws keep eta's sign wherever eta is nonzero (U^eta), and nothing
+    else is required of them.  U_J, omega nonvanishing on disjoint pairs
+    where eta vanishes, constrains only quantities the evaluator never
+    reads as a sign: it drops a split with eta(e_L, e_R) = 0 before it
+    reads any.  A draw whose evaluation goes through has every sign it
+    reads nonzero, so the value is locally constant around it, and every
+    neighbourhood of a U^eta draw contains fully generic draws, where the
+    value is the flow tree formula's, the same for every generic
+    perturbation.  So a draw that evaluates gives F, and a retry at a
+    smaller shrink exponent adds nothing.
     """
     eta = [[int(x) for x in row] for row in aux.eta]
     if mode == "omega":
@@ -253,6 +269,8 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
         candidates = ((start, d, start, eta) for start, d in _beta_numerators(aux, seed, budget))
     else:
         raise InvalidInput(f"unknown perturbation mode {mode!r}")
+    if not alpha_is_generic(aux.eta, aux.alpha):
+        raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
     ctx = scalar_context(eta)
     full = (1 << aux.r) - 1
     for draw, d, start, form in candidates:

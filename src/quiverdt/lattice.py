@@ -1,4 +1,4 @@
-"""Quivers, dimension vectors, skew forms and exact genericity sampling.
+"""Quivers, dimension vectors, skew forms and exact perturbation draws.
 
 The auxiliary rank-r lattice attached to a decomposition gamma_1..gamma_r
 is handled through bitmasks: the subset J of {1..r} is the integer whose
@@ -8,9 +8,7 @@ All genericity conditions are exact sign tests.  Every pairing of
 mask (``subset_sums``).  For a skew M, M(e_L, e_L) = 0, so
 M(e_L, e_{J minus L}) = M(e_L, e_J): the pairings of the splits of J are
 the subset sums of the row sums M(e_i, e_J), which is how ``flow`` and
-the joint check read them.  The pairings of disjoint masks A, B are
-subset sums of the row e_A^T M over the complement of A
-(``_disjoint_pairings``, 3^r entries).
+the joint check read them.
 
 The perturbation draws are dyadic, with denominator PERTURBATION_DENOM *
 2^k, and exist only as integers: an omega draw eta + 2^-k R is W = d eta
@@ -18,13 +16,13 @@ The perturbation draws are dyadic, with denominator PERTURBATION_DENOM *
 its numerators over one denominator (``_beta_numerators``).  ``flow``
 evaluates these integers as they are, since positive multiples of omega
 and of the start point give the same flow.  ``Philox`` draws them, numpy's
-Philox ``integers`` stream in pure Python.  ``AuxLattice`` requires an
-integral eta, which fixes the shrink exponent of the omega draws in closed
-form (k0 = 8 for r <= 27), and makes one table of W-pairings at k0 the
-whole U^eta test: W(A, B) is R(A, B) where eta(A, B) = 0 and has eta's
-sign elsewhere (see ``_omega_numerators``).  ``flow._first_generic``
-certifies a draw by evaluating the flow tree formula on it and moves to
-the next one on failure.
+Philox ``integers`` stream in pure Python.  Each resample yields one draw,
+at the shrink exponent that keeps the signs the draw must keep: eta's on
+every pair where eta is nonzero (U^eta; AuxLattice requires an integral
+eta, which fixes k in closed form, k0 = 8 for r <= 27), or alpha's on
+every subset where alpha is nonzero.  The samplers test nothing else:
+``flow._first_generic`` accepts or rejects each draw by evaluating the
+flow tree formula on it.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import parse_integer, parse_rational
-from .errors import InvalidInput, NotGenericAlpha, NotOnWall
+from .errors import InvalidInput, NotOnWall
 
 PERTURBATION_DENOM = 2 ** 16
 MAX_VERTICES = 100  # largest vertex count a quiver file may declare
@@ -399,22 +397,6 @@ def _random_skew(rng, r: int):
     return m
 
 
-def _disjoint_pairings(matrix, r: int) -> list:
-    """e_A^T M e_B for every pair of disjoint nonempty masks A, B < 2^r, A first then B ascending.
-
-    The rows e_A^T M are the subset sums of the rows of M, and the pairings
-    of one of them are its subset sums over the bits of the complement of
-    A: 3^r entries in all, one addition each.
-    """
-    rows = [[0] * r]
-    for mrow in matrix:
-        rows += [[x + y for x, y in zip(row, mrow)] for row in rows]
-    pairings = []
-    for a in range(1, 1 << r):
-        pairings += subset_sums([x for j, x in enumerate(rows[a]) if not a >> j & 1])[1:]
-    return pairings
-
-
 def _shrink_exponent(base, pert, start: int = 8) -> int:
     """Smallest k >= start with |p| < |b| 2^k on every pair (b, p) with b != 0.
 
@@ -426,40 +408,26 @@ def _shrink_exponent(base, pert, start: int = 8) -> int:
 
 
 def _omega_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
-    """Yield each candidate omega = eta + 2^-k R as (W, d): omega = W / d, all in ints.
+    """Yield each candidate omega = eta + 2^-k0 R as (W, d): omega = W / d, all in ints.
 
     Each of the ``budget`` resamples draws a skew R of numerators in
-    [-PERTURBATION_DENOM, PERTURBATION_DENOM], and the draw at shrink
-    exponent k is W = d eta + R with d = PERTURBATION_DENOM 2^k, yielded
-    for eight successive k from k0.
+    [-PERTURBATION_DENOM, PERTURBATION_DENOM] and yields one draw, W =
+    d eta + R with d = PERTURBATION_DENOM 2^k0.
 
     k0 keeps the signs of eta on every pair where eta is nonzero (U^eta).
     In e_A^T R e_B the terms R_ij with i and j both in A & B cancel (R is
     skew), which leaves ab + bc + ca <= r^2 / 3 terms of size at most
     PERTURBATION_DENOM, with a = |A - B|, b = |B - A| and c = |A & B|; a
     nonzero integer eta-pairing is at least 1.  So 2^k0 > floor(r^2 / 3)
-    suffices, and k0 = 8 for r <= 27.
-
-    omega must not vanish on a disjoint pair where eta does (U_J).  One
-    table of the pairings of W at k0 tests that: where eta(A, B) = 0 the
-    pairing W(A, B) is R(A, B), and where eta(A, B) != 0 it has the sign
-    of eta, since |R(A, B)| < d |eta(A, B)|.  So a resample is skipped
-    exactly when some disjoint W-pairing at k0 is zero, and then no k
-    would do.  Membership in U_{I,alpha} is left to the caller.
+    suffices, and k0 = 8 for r <= 27.  Where eta vanishes the pairing of W
+    is R's, which the evaluator never reads as a sign.
     """
-    if not alpha_is_generic(aux.eta, aux.alpha):
-        raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
     r = aux.r
     eta = [[int(x) for x in row] for row in aux.eta]
-    k0 = max(8, (r * r // 3).bit_length())
+    d = PERTURBATION_DENOM << max(8, (r * r // 3).bit_length())
     for attempt in range(budget):
         numer = _random_skew(_rng(seed, "omega", attempt), r)
-        for k in range(k0, k0 + 8):
-            d = PERTURBATION_DENOM << k
-            form = [[d * e + x for e, x in zip(eta_row, row)] for eta_row, row in zip(eta, numer)]
-            if k == k0 and 0 in _disjoint_pairings(form, r):
-                break
-            yield form, d
+        yield [[d * e + x for e, x in zip(eta_row, row)] for eta_row, row in zip(eta, numer)], d
 
 
 def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
@@ -467,14 +435,12 @@ def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
 
     alpha = A / c comes first, with c the lcm of its denominators.  Each
     of the ``budget`` resamples then draws delta, numerators over
-    PERTURBATION_DENOM with delta(e_I) = 0, and yields alpha +
+    PERTURBATION_DENOM with delta(e_I) = 0, and yields one draw, alpha +
     delta / (PERTURBATION_DENOM 2^k) as B = PERTURBATION_DENOM 2^k A +
-    c delta over d = c PERTURBATION_DENOM 2^k, for eight successive k from
-    the smallest that keeps the signs of alpha on every subset where alpha
+    c delta over d = c PERTURBATION_DENOM 2^k, with k the smallest
+    (at least 8) that keeps the signs of alpha on every subset where alpha
     is nonzero.
     """
-    if not alpha_is_generic(aux.eta, aux.alpha):
-        raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
     r = aux.r
     c, alpha = integral_multiple(aux.alpha)
     yield alpha, c
@@ -485,10 +451,8 @@ def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
         rng = _rng(seed, "beta", attempt)
         delta = [c * _random_numerator(rng) for _ in range(r - 1)]
         delta.append(-sum(delta))
-        k0 = _shrink_exponent(alpha_base, subset_sums(delta))
-        for k in range(k0, k0 + 8):
-            scale = PERTURBATION_DENOM << k
-            yield [scale * a + x for a, x in zip(alpha, delta)], c * scale
+        scale = PERTURBATION_DENOM << _shrink_exponent(alpha_base, subset_sums(delta))
+        yield [scale * a + x for a, x in zip(alpha, delta)], c * scale
 
 
 # ---------------------------------------------------------------------------

@@ -367,9 +367,7 @@ def _has_triple_split(point, r: int) -> bool:
     return cover(full, 0)
 
 
-def check_joint_consistency(
-    aux: AuxLattice, seed: int, budget: int = 1000, corrupt: bool = False
-) -> ConsistencyReport:
+def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> ConsistencyReport:
     """Verify the wall structure along the attractor half-line from alpha.
 
     Samples a generic perturbation, locates every relevant joint on the
@@ -380,9 +378,6 @@ def check_joint_consistency(
     joint.  The telescoped jumps then reassemble the wall value at alpha
     with no check of their own: they sum to the first segment's value
     minus the last one's, which the checks fix as the wall value and 0.
-
-    ``corrupt`` is a negative-control hook that perturbs the measured wall
-    value and must make the check fail.
     """
     r = aux.r
     if r < 2:
@@ -432,8 +427,6 @@ def check_joint_consistency(
         raise ConsistencyFailure("no generic sample point on a segment", joint=lo)
 
     segment_values = [segment_value(lo, hi) for lo, hi in zip([Fraction(0)] + ts, ts + [None])]
-    if corrupt:
-        segment_values[0] = segment_values[0] + LaurentPoly.const(1)
 
     if segment_values[0] != value_at_alpha:
         raise ConsistencyFailure("wall value is not constant on the first segment", joint=Fraction(0))

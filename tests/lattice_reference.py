@@ -9,7 +9,6 @@ pair keeps its sign.
 
 from fractions import Fraction
 
-from quiverdt.errors import NotGenericAlpha
 from quiverdt.lattice import PERTURBATION_DENOM, _rng
 
 
@@ -73,9 +72,7 @@ def min_shrink_exponent(base_pairs, perturb_pairs, start: int = 8) -> int:
 
 
 def omega_draws(aux, seed: int, budget: int = 1000):
-    """eta + 2^-k R per resample, skipping R that vanish where eta does on a disjoint pair."""
-    if not alpha_is_generic(aux.eta, aux.alpha):
-        raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
+    """eta + 2^-k R per resample, k the smallest that keeps eta's nonzero signs."""
     r = aux.r
     eta = aux.eta
     sign_pairs = []
@@ -86,33 +83,20 @@ def omega_draws(aux, seed: int, budget: int = 1000):
             e = pair_masks(eta, ma, mb)
             if e != 0:
                 sign_pairs.append((ma, mb, e))
-    zero_disjoint = [
-        (ma, mb)
-        for ma in nonempty_masks(r)
-        for mb in nonempty_masks(r)
-        if mb > ma and (ma & mb) == 0 and pair_masks(eta, ma, mb) == 0
-    ]
 
     for attempt in range(budget):
         rng = _rng(seed, "omega", attempt)
         rmat = _random_skew(rng, r)
-        if any(pair_masks(rmat, ma, mb) == 0 for ma, mb in zero_disjoint):
-            continue
-        k0 = min_shrink_exponent(
+        k = min_shrink_exponent(
             [e for _, _, e in sign_pairs],
             [pair_masks(rmat, ma, mb) for ma, mb, _ in sign_pairs],
         )
-        for k in range(k0, k0 + 8):
-            eps = Fraction(1, 1 << k)
-            yield tuple(
-                tuple(eta[i][j] + eps * rmat[i][j] for j in range(r)) for i in range(r)
-            )
+        eps = Fraction(1, 1 << k)
+        yield tuple(tuple(eta[i][j] + eps * rmat[i][j] for j in range(r)) for i in range(r))
 
 
 def beta_draws(aux, seed: int, budget: int = 1000):
-    """alpha, then alpha + 2^-k delta per resample, keeping alpha's nonzero signs."""
-    if not alpha_is_generic(aux.eta, aux.alpha):
-        raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
+    """alpha, then alpha + 2^-k delta per resample, k the smallest that keeps alpha's nonzero signs."""
     r = aux.r
     yield tuple(aux.alpha)
 
@@ -121,10 +105,9 @@ def beta_draws(aux, seed: int, budget: int = 1000):
         rng = _rng(seed, "beta", attempt)
         delta = [_random_fraction(rng) for _ in range(r - 1)]
         delta.append(-sum(delta))
-        k0 = min_shrink_exponent(
+        k = min_shrink_exponent(
             [a for _, a in alpha_values],
             [mask_sum(delta, m) for m, _ in alpha_values],
         )
-        for k in range(k0, k0 + 8):
-            eps = Fraction(1, 1 << k)
-            yield tuple(a + eps * d for a, d in zip(aux.alpha, delta))
+        eps = Fraction(1, 1 << k)
+        yield tuple(a + eps * d for a, d in zip(aux.alpha, delta))

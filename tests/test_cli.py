@@ -251,6 +251,54 @@ def test_option_a_check_kind_does_not_read_exits_2(capsys, monkeypatch, kind, fl
     assert f"unrecognized arguments: {flag} 2" in captured.err, captured.err
 
 
+# each command's argv, and the commands that read each global flag (the README's
+# "read by" column); every other (flag, command) pair is refused
+COMMAND_ARGV = {
+    "trees": ["trees", "2"],
+    "F": ["F", "--quiver", "q", "--gammas", "1,0", "0,1", "--theta", "1,-1"],
+    "dt": ["dt", "--quiver", "q", "--gamma", "1,1", "--theta", "1,-1"],
+    "oracle rank2": ["oracle", "rank2", "--m", "1", "--degree", "2"],
+    **{f"check {kind}": ["check", kind] for kind in CHECK_OPTIONS},
+}
+CHECKS = [f"check {kind}" for kind in CHECK_OPTIONS]
+GLOBAL_READERS = {
+    "--seed": ["F", "dt", *CHECKS],
+    "--budget": ["F", "dt", "check perturbation", "check joints", "check oracle"],
+    "--cache": ["dt"],
+    "--format": ["trees", "F", "dt", *CHECKS],
+}
+FOREIGN_GLOBALS = [
+    (flag, command) for flag, readers in GLOBAL_READERS.items() for command in COMMAND_ARGV if command not in readers
+]
+
+
+@pytest.mark.parametrize("flag, command", FOREIGN_GLOBALS)
+def test_a_global_flag_a_command_does_not_read_exits_2(capsys, monkeypatch, tmp_path, flag, command):
+    from quiverdt import checks, cli
+
+    for module, name in [(cli, "enumerate_trees"), (cli, "flow_tree_scalar"), (cli, "assemble_divisors"),
+                         (cli, "reconstruct_rank2"), *((checks, f"check_{kind}") for kind in CHECK_OPTIONS)]:
+        monkeypatch.setattr(module, name, None)  # refused before any work
+    value = {"--seed": "1", "--budget": "5", "--cache": str(tmp_path / "cache"), "--format": "machine"}[flag]
+    code = main([flag, value, *COMMAND_ARGV[command]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert f"{flag} is not read by {command}" in captured.err, captured.err
+    assert not (tmp_path / "cache").exists()
+    assert len(FOREIGN_GLOBALS) == 13
+
+
+@pytest.mark.parametrize("flag, command", [(f, c) for f, readers in GLOBAL_READERS.items() for c in readers])
+def test_a_global_flag_a_command_reads_is_taken(flag, command):
+    from quiverdt.cli import _read_global_flags, build_parser
+
+    value = "machine" if flag == "--format" else "5"
+    parser = build_parser()
+    args = parser.parse_args([flag, value, *COMMAND_ARGV[command]])
+    _read_global_flags(parser, args)
+    assert str(vars(args)[flag[2:]]) == value
+
+
 @pytest.mark.parametrize("text", ["1_0", "\u0663", "1e3"])
 @pytest.mark.parametrize(
     "argv",

@@ -378,6 +378,27 @@ def test_zero_sign_arguments_raise_as_in_the_reference():
     assert raised > 0 and evaluated > 0
 
 
+def test_a_draw_that_breaks_u_j_evaluates_to_the_formula():
+    # W = d eta + R with R zeroed on every pair {i, j} where eta vanishes: W
+    # then vanishes on disjoint pairs where eta does (outside U_J), which are
+    # signs the evaluator never reads.  It goes through, with beta mode's value.
+    checked = 0
+    for r in (4, 5, 6):
+        for seed in range(40):
+            aux = random_instance(r, seed)
+            zero_pairs = [(i, j) for i, j in combinations(range(r), 2) if aux.eta[i][j] == 0]
+            expected = flow_tree_scalar(aux, "beta", seed)
+            if not zero_pairs or expected == LaurentPoly.zero():
+                continue
+            form, _ = next(_omega_numerators(aux, seed))
+            for i, j in zero_pairs:
+                form[i][j] = form[j][i] = 0
+            value = flow_tree_sum(range(1, r + 1), aux.eta, scalar_context(aux.eta), aux.alpha, form)
+            assert value == expected == tree_sum(r, aux.eta, aux.alpha, form, laurent_context(r))
+            checked += 1
+    assert checked == 39
+
+
 def test_recursion_through_a_negative_omega_split():
     # At the root split {1} | {2, 3}, theta(e_L) = -1 and omega(e_L, e_R) = -1:
     # epsilon is +1, and the flow step divides by a negative pairing before

@@ -318,10 +318,18 @@ def test_flow_tree_map_matches_joint_wall_value():
     assert flow_tree_sum(range(1, 4), aux.eta, ctx, aux.alpha, form) == report.wall_value
 
 
-def test_joint_consistency_negative_control():
-    aux = random_instance(3, 7)
+def test_joint_consistency_negative_control(monkeypatch):
+    from quiverdt.algebra import LaurentPoly
+    from quiverdt.flow import _first_generic
+
+    def off_by_one(*args):
+        form, d, value = _first_generic(*args)
+        return form, d, value + LaurentPoly.const(1)
+
+    # the wall value the check starts from is wrong by 1
+    monkeypatch.setattr(scattering, "_first_generic", off_by_one)
     with pytest.raises(ConsistencyFailure, match="first segment"):
-        check_joint_consistency(aux, seed=0, corrupt=True)
+        check_joint_consistency(random_instance(3, 7), seed=0)
 
 
 def test_joint_consistency_requires_rank_two():
