@@ -19,7 +19,7 @@ _EXPORTS = {
         "integer_from_rational",
         "rational_from_integer",
     ),
-    "flow": ("BracketContext", "flow_tree_scalar"),
+    "flow": ("BracketContext", "check_joint_consistency", "flow_tree_scalar"),
     "lattice": (
         "AuxLattice",
         "Quiver",
@@ -31,7 +31,6 @@ _EXPORTS = {
     "scattering": (
         "GradedLie",
         "Rank2Diagram",
-        "check_joint_consistency",
         "dt_from_rank2",
         "reconstruct_rank2",
     ),

@@ -18,9 +18,9 @@ from .dt import (
     rational_from_integer,
 )
 from .errors import ConsistencyFailure, GenericityError
-from .flow import flow_tree_scalar
+from .flow import check_joint_consistency, flow_tree_scalar
 from .lattice import AuxLattice, Quiver, _rng, alpha_is_generic, euler_skew, is_gamma_generic
-from .scattering import _attractor_direction, check_joint_consistency, dt_from_rank2, reconstruct_rank2
+from .scattering import _attractor_direction, dt_from_rank2, reconstruct_rank2
 
 
 @dataclass

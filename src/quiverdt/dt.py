@@ -19,20 +19,11 @@ Universal coefficients depend only on (r, pulled-back form, sign pattern
 of the pulled-back stability point), so they are cached under exactly
 that key, in memory and optionally on disk.
 
-A decomposition whose flow tree sum vanishes at the root split is skipped
-before its lattice is built.  Take parts gamma_1..gamma_r, r >= 2, with
-sum gamma and alpha_i = theta(gamma_i).  The root reads the splits L that
-contain 1, L != I, with eta(e_L, e_I) = <gamma_L, gamma> != 0, and such a
-split contributes only when sgn theta(e_L) = sgn omega(e_L, e_R).  In
-omega mode theta = alpha and every draw omega = eta + R / d keeps eta's
-sign there; in beta mode omega = eta and every start point keeps alpha's
-sign where alpha(e_L) != 0, which holds on these splits, because theta is
-gamma-generic and gamma_L is not collinear with gamma.  So when no L has
-sgn theta(gamma_L) = sgn <gamma_L, gamma>, F = 0 for every draw, every
-seed and both modes (``flow.vanishes_at_root``, from the column M gamma
-and the alphas alone).  Such a decomposition costs no lattice, no cache
-key, no draw and no record, and it cannot raise: its alpha is generic.
-r = 1 is never skipped, since its value is the leaf 1.
+A decomposition whose flow tree sum vanishes at the root split, for
+every draw, seed and mode, is skipped before its lattice is built: it
+costs no lattice, no cache key, no draw and no record.
+``flow.vanishes_at_root`` makes the test from the column M gamma and the
+alphas alone, and its docstring gives the argument.
 """
 
 from __future__ import annotations

@@ -18,8 +18,9 @@ pairings eta(e_L, e_R) and omega(e_L, e_R) are the sums over L of the
 row sums M(e_i, e_J); theta(e_L) is the sum over L of theta.  These
 tables are subset_sums over the splits L = {l} + S, S a proper subset of
 the rest of J.  Those of eta and omega depend on the mask alone and are
-built once per mask per evaluation; theta's is built per call, and theta
-is updated only on the bits of J (its children read nothing else).
+built once per mask per evaluation (``_split_table``); theta's is built
+per call, and theta is updated only on the bits of J (its children read
+nothing else).
 
 The evaluator runs in integers: the rules read only signs, so F(J, c theta)
 = F(J, theta) for c > 0, and omega's positive multiples give the same step.
@@ -47,15 +48,22 @@ ZeroSignArgument.  ``_first_generic`` is the one place that accepts or
 rejects a perturbation: it checks alpha once, evaluates the integer
 draws of ``lattice``, one per resample, in turn, and returns the first
 one whose evaluation goes through, as (W, d, F) with the draw W / d.
+
+``check_joint_consistency`` is the gate of the formula's consistency
+along the half-line alpha + t iota_{e_I} omega.  Its joints are the
+root's splits in the split table of I, and at each one the jump of the
+wall value must be the commutator of the two incoming walls; every value
+is an evaluation of the same integer flow.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .algebra import LaurentPoly
-from .errors import InvalidInput, NotGenericAlpha, SamplingTimeout, ZeroSignArgument
+from .algebra import LaurentPoly, kappa
+from .errors import ConsistencyFailure, InvalidInput, NotGenericAlpha, SamplingTimeout, ZeroSignArgument
 from .lattice import (
     AuxLattice,
     _beta_numerators,
@@ -140,25 +148,34 @@ def scalar_context(eta) -> BracketContext:
     return BracketContext(bracket, dict.fromkeys(range(1, r + 1), 1), 0, decode)
 
 
+def _split_table(mask: int, eta, form, tables: dict) -> tuple:
+    """Build and keep ``tables[mask]`` = (bits, form_rows, splits) for a mask of two or more bits.
+
+    ``bits`` are the indices of J = mask, ``form_rows`` the row pairings
+    omega(e_i, e_J) over them, and ``splits`` one entry (s, L, eta(e_L,
+    e_J), omega(e_L, e_J)) per split L = {low} + (the subset s of the other
+    bits), L != J, with eta(e_L, e_J) != 0: entry s of a subset sum over
+    the bits of J belongs to L.
+    """
+    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    eta_rows = [sum(eta[i][j] for j in bits) for i in bits]  # eta(e_i, e_J)
+    form_rows = [sum(form[i][j] for j in bits) for i in bits]  # omega(e_i, e_J)
+    lefts = subset_sums([1 << i for i in bits[1:]], 1 << bits[0])
+    etas = subset_sums(eta_rows[1:], eta_rows[0])
+    forms = subset_sums(form_rows[1:], form_rows[0])
+    splits = [t for t in zip(range(len(lefts) - 1), lefts, etas, forms) if t[2]]  # all but L = J
+    table = tables[mask] = (bits, form_rows, splits)
+    return table
+
+
 def _evaluate(mask: int, theta, eta, form, ctx: BracketContext, tables: dict):
     """F(mask, theta): the flow tree sum over the trees on the indices of mask.
 
-    Entry s of each table belongs to the split L = {low} + (the subset s
-    of the other bits); ``tables`` keeps, per mask, those of eta and omega.
+    ``tables`` keeps the split table of each mask (``_split_table``).
     """
     if mask & (mask - 1) == 0:
         return ctx.leaf_values[mask.bit_length()]
-    table = tables.get(mask)
-    if table is None:
-        bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-        eta_rows = [sum(eta[i][j] for j in bits) for i in bits]  # eta(e_i, e_J)
-        form_rows = [sum(form[i][j] for j in bits) for i in bits]  # omega(e_i, e_J)
-        lefts = subset_sums([1 << i for i in bits[1:]], 1 << bits[0])
-        etas = subset_sums(eta_rows[1:], eta_rows[0])
-        forms = subset_sums(form_rows[1:], form_rows[0])
-        splits = [t for t in zip(range(len(lefts) - 1), lefts, etas, forms) if t[2]]  # all but L = J
-        table = tables[mask] = (bits, form_rows, splits)
-    bits, form_rows, splits = table
+    bits, form_rows, splits = tables.get(mask) or _split_table(mask, eta, form, tables)
     thetas = subset_sums([theta[i] for i in bits[1:]], theta[bits[0]])
     total = ctx.zero
     for s, left, pairing, b in splits:
@@ -293,3 +310,120 @@ def flow_tree_scalar(
     produce the identical polynomial.
     """
     return _first_generic(aux, mode, seed, budget)[2]
+
+
+# ---------------------------------------------------------------------------
+# joint consistency along the flow half-line
+
+
+@dataclass(frozen=True)
+class ConsistencyReport:
+    """The wall value at alpha and the joint positions t, in increasing order."""
+
+    wall_value: LaurentPoly
+    joints: tuple
+
+
+_SEGMENT_FRACTIONS = tuple(Fraction(p, q) for p, q in ((1, 2), (1, 3), (2, 3), (2, 5), (3, 5), (1, 7), (6, 7)))
+_TAIL_OFFSETS = (1, 2, Fraction(1, 2), 3, Fraction(5, 2), 5, Fraction(7, 3))
+
+
+def _has_triple_split(point, r: int) -> bool:
+    """Is there a partition of {1..r} into >= 3 parts, all annihilated by point?"""
+    full = (1 << r) - 1
+    sums = subset_sums(point)
+    null_masks = [m for m in range(1, full) if sums[m] == 0]
+
+    def cover(remaining: int, parts: int) -> bool:
+        if remaining == 0:
+            return parts >= 3
+        low = remaining & -remaining
+        for m in null_masks:
+            if m & low and (m & ~remaining) == 0:
+                if cover(remaining & ~m, parts + 1):
+                    return True
+        return False
+
+    return cover(full, 0)
+
+
+def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> ConsistencyReport:
+    """Verify the wall structure along the attractor half-line from alpha.
+
+    Samples a generic perturbation, locates every relevant joint on the
+    half-line alpha + t * iota_{e_I} omega, and checks: no triple splits at
+    the joints; each jump of the wall value across a joint equals the
+    commutator predicted by the two incoming walls; and the value beyond
+    the last joint vanishes.  Raises ConsistencyFailure with the offending
+    joint.  The telescoped jumps then reassemble the wall value at alpha
+    with no check of their own: they sum to the first segment's value
+    minus the last one's, which the checks fix as the wall value and 0.
+    """
+    r = aux.r
+    if r < 2:
+        raise InvalidInput("joint consistency needs r >= 2")
+    eta = [[int(x) for x in row] for row in aux.eta]
+    # omega = form / d and alpha = A / c; the flow runs on their integer multiples
+    form, d, value_at_alpha = _first_generic(aux, "omega", seed, budget)
+    c, alpha = integral_multiple(aux.alpha)
+    full, tables = (1 << r) - 1, {}
+    # the root's splits L, each unordered split of I once, as the part containing index 1
+    _, form_rows, splits = _split_table(full, eta, form, tables)
+    alphas = subset_sums(alpha[1:], alpha[0])
+
+    # the joints t = alpha(e_L) / omega(e_L, e_I) > 0; every split of the table has
+    # eta(e_L, e_I) != 0, where omega keeps eta's sign, so omega(e_L, e_I) != 0
+    located = sorted(
+        (Fraction(alphas[s] * d, c * b), left, pairing, b)
+        for s, left, pairing, b in splits
+        if alphas[s] * b > 0
+    )
+    ts = [t for t, *_ in located]
+    for prev, t in zip(ts, ts[1:]):
+        if t == prev:
+            raise ConsistencyFailure("tied joints on the flow half-line", joint=t)
+
+    def point_at(t: Fraction) -> list:
+        """c d q (alpha + t iota_{e_I} omega) at t = p / q: the flow reads only its signs."""
+        return [d * t.denominator * a - c * t.numerator * w for a, w in zip(alpha, form_rows)]
+
+    ctx = scalar_context(eta)
+
+    def flow_value(mask: int, point) -> LaurentPoly:
+        return ctx.decode(_evaluate(mask, point, eta, form, ctx, tables), mask)
+
+    def segment_value(lo: Fraction, hi) -> LaurentPoly:
+        if hi is None:
+            candidates = [lo + off for off in _TAIL_OFFSETS]
+        else:
+            candidates = [lo + (hi - lo) * f for f in _SEGMENT_FRACTIONS]
+        for t in candidates:
+            try:
+                return flow_value(full, point_at(t))
+            except ZeroSignArgument:
+                continue
+        raise ConsistencyFailure("no generic sample point on a segment", joint=lo)
+
+    segment_values = [segment_value(lo, hi) for lo, hi in zip([Fraction(0)] + ts, ts + [None])]
+
+    if segment_values[0] != value_at_alpha:
+        raise ConsistencyFailure("wall value is not constant on the first segment", joint=Fraction(0))
+
+    for i, (t, left, pairing, b) in enumerate(located, start=1):
+        x = point_at(t)
+        if _has_triple_split(x, r):
+            raise ConsistencyFailure("triple split at a joint", joint=t)
+        predicted = kappa(pairing) * flow_value(left, x) * flow_value(full ^ left, x)
+        if b > 0:
+            predicted = -predicted
+        measured = segment_values[i - 1] - segment_values[i]
+        if measured != predicted:
+            raise ConsistencyFailure("jump does not match the commutator", joint=t)
+
+    if segment_values[-1] != LaurentPoly.zero():
+        raise ConsistencyFailure(
+            "wall value beyond the last joint is nonzero",
+            joint=ts[-1] if ts else Fraction(0),
+        )
+
+    return ConsistencyReport(wall_value=value_at_alpha, joints=tuple(ts))

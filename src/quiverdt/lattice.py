@@ -36,7 +36,13 @@ from .algebra import parse_integer, parse_rational
 from .errors import InvalidInput, NotOnWall
 
 PERTURBATION_DENOM = 2 ** 16
+MIN_SHRINK_EXPONENT = 8  # the least k of a draw over PERTURBATION_DENOM 2^k, in both modes
 MAX_VERTICES = 100  # largest vertex count a quiver file may declare
+# MAX_PAIR_ARROWS bounds the arrows a quiver file gives one ordered vertex pair.  CPU times on
+# Kronecker-m, one 2-vCPU machine: at m = 1 000, `dt --gamma 2,2` took 2.2 s and `F` with three
+# copies of each class 1.5 s; at m = 10 000, `F` with two copies took 15.5 s and the other two
+# ran past 100 s.  `dt --gamma 1,1` died of MemoryError at m = 10^15 and of OverflowError at 10^20.
+MAX_PAIR_ARROWS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +403,14 @@ def _random_skew(rng, r: int):
     return m
 
 
-def _shrink_exponent(base, pert, start: int = 8) -> int:
-    """Smallest k >= start with |p| < |b| 2^k on every pair (b, p) with b != 0.
+def _shrink_exponent(base, pert) -> int:
+    """Smallest k >= MIN_SHRINK_EXPONENT with |p| < |b| 2^k on every pair (b, p) with b != 0.
 
     |p| < |b| 2^k holds exactly when floor(|p| / |b|) < 2^k, that is when
     the floor has at most k bits.
     """
     worst = max((abs(p) // abs(b) for b, p in zip(base, pert) if b), default=0)
-    return max(start, worst.bit_length())
+    return max(MIN_SHRINK_EXPONENT, worst.bit_length())
 
 
 def _omega_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
@@ -419,12 +425,13 @@ def _omega_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
     skew), which leaves ab + bc + ca <= r^2 / 3 terms of size at most
     PERTURBATION_DENOM, with a = |A - B|, b = |B - A| and c = |A & B|; a
     nonzero integer eta-pairing is at least 1.  So 2^k0 > floor(r^2 / 3)
-    suffices, and k0 = 8 for r <= 27.  Where eta vanishes the pairing of W
-    is R's, which the evaluator never reads as a sign.
+    suffices; k0 is also at least MIN_SHRINK_EXPONENT, so k0 = 8 for r <=
+    27.  Where eta vanishes the pairing of W is R's, which the evaluator
+    never reads as a sign.
     """
     r = aux.r
     eta = [[int(x) for x in row] for row in aux.eta]
-    d = PERTURBATION_DENOM << max(8, (r * r // 3).bit_length())
+    d = PERTURBATION_DENOM << max(MIN_SHRINK_EXPONENT, (r * r // 3).bit_length())
     for attempt in range(budget):
         numer = _random_skew(_rng(seed, "omega", attempt), r)
         yield [[d * e + x for e, x in zip(eta_row, row)] for eta_row, row in zip(eta, numer)], d
@@ -437,9 +444,9 @@ def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
     of the ``budget`` resamples then draws delta, numerators over
     PERTURBATION_DENOM with delta(e_I) = 0, and yields one draw, alpha +
     delta / (PERTURBATION_DENOM 2^k) as B = PERTURBATION_DENOM 2^k A +
-    c delta over d = c PERTURBATION_DENOM 2^k, with k the smallest
-    (at least 8) that keeps the signs of alpha on every subset where alpha
-    is nonzero.
+    c delta over d = c PERTURBATION_DENOM 2^k, with k the smallest, at
+    least MIN_SHRINK_EXPONENT, that keeps the signs of alpha on every
+    subset where alpha is nonzero.
     """
     r = aux.r
     c, alpha = integral_multiple(aux.alpha)
@@ -469,10 +476,11 @@ def _int_fields(fields, lineno: int) -> list:
 def parse_quiver(text: str) -> Quiver:
     """Quiver file format: 'vertices <k>' then 'arrow <i> <j> <count>' lines.
 
-    k is at most MAX_VERTICES, checked before anything of size k is built.
+    k is at most MAX_VERTICES, checked before anything of size k is built,
+    and the counts of one ordered pair sum to at most MAX_PAIR_ARROWS.
     """
     vertex_count = None
-    arrows = []
+    arrows = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -490,12 +498,14 @@ def parse_quiver(text: str) -> Quiver:
             i, j, k = _int_fields(parts[1:], lineno)
             if not (1 <= i <= vertex_count and 1 <= j <= vertex_count) or k < 0:
                 raise InvalidInput(f"line {lineno}: arrow out of range")
-            arrows.append((i - 1, j - 1, k))
+            arrows[i, j] = arrows.get((i, j), 0) + k
+            if arrows[i, j] > MAX_PAIR_ARROWS:
+                raise InvalidInput(f"line {lineno}: more than {MAX_PAIR_ARROWS} arrows from {i} to {j}")
         else:
             raise InvalidInput(f"line {lineno}: unrecognized statement {line!r}")
     if vertex_count is None:
         raise InvalidInput("missing 'vertices' statement")
-    return Quiver.from_arrows(vertex_count, arrows)
+    return Quiver.from_arrows(vertex_count, ((i - 1, j - 1, k) for (i, j), k in arrows.items()))
 
 
 def parse_dimvec(text: str) -> tuple:

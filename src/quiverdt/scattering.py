@@ -27,23 +27,8 @@ from functools import lru_cache
 from itertools import groupby
 
 from .algebra import BiLaurent, LaurentPoly, RatFunc, _as_ratfunc, kappa
-from .errors import (
-    ConsistencyFailure,
-    DegreeExceeded,
-    InvalidInput,
-    NotOnWall,
-    ZeroSignArgument,
-)
-from .flow import _evaluate, _first_generic, scalar_context
-from .lattice import (
-    AuxLattice,
-    as_fractions,
-    check_skew,
-    dot,
-    integral_multiple,
-    is_positive_dimvec,
-    subset_sums,
-)
+from .errors import ConsistencyFailure, DegreeExceeded, InvalidInput, NotOnWall
+from .lattice import as_fractions, check_skew, dot, is_positive_dimvec
 
 
 @lru_cache(maxsize=None)
@@ -323,129 +308,3 @@ def dt_from_rank2(diag: Rank2Diagram, gamma, theta) -> RatFunc:
     side = diag.initial if dot(theta, d_att) > 0 else diag.scattered
     return side.get(gamma, RatFunc.zero())
 
-
-# ---------------------------------------------------------------------------
-# joint consistency of the flow tree machinery
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """The wall value at alpha and the joint positions t, in increasing order."""
-
-    wall_value: LaurentPoly
-    joints: tuple
-
-
-_SEGMENT_FRACTIONS = (
-    Fraction(1, 2),
-    Fraction(1, 3),
-    Fraction(2, 3),
-    Fraction(2, 5),
-    Fraction(3, 5),
-    Fraction(1, 7),
-    Fraction(6, 7),
-)
-_TAIL_OFFSETS = (1, 2, Fraction(1, 2), 3, Fraction(5, 2), 5, Fraction(7, 3))
-
-
-def _has_triple_split(point, r: int) -> bool:
-    """Is there a partition of {1..r} into >= 3 parts, all annihilated by point?"""
-    full = (1 << r) - 1
-    sums = subset_sums(point)
-    null_masks = [m for m in range(1, full) if sums[m] == 0]
-
-    def cover(remaining: int, parts: int) -> bool:
-        if remaining == 0:
-            return parts >= 3
-        low = remaining & -remaining
-        for m in null_masks:
-            if m & low and (m & ~remaining) == 0:
-                if cover(remaining & ~m, parts + 1):
-                    return True
-        return False
-
-    return cover(full, 0)
-
-
-def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> ConsistencyReport:
-    """Verify the wall structure along the attractor half-line from alpha.
-
-    Samples a generic perturbation, locates every relevant joint on the
-    half-line alpha + t * iota_{e_I} omega, and checks: no triple splits at
-    the joints; each jump of the wall value across a joint equals the
-    commutator predicted by the two incoming walls; and the value beyond
-    the last joint vanishes.  Raises ConsistencyFailure with the offending
-    joint.  The telescoped jumps then reassemble the wall value at alpha
-    with no check of their own: they sum to the first segment's value
-    minus the last one's, which the checks fix as the wall value and 0.
-    """
-    r = aux.r
-    if r < 2:
-        raise InvalidInput("joint consistency needs r >= 2")
-    eta = [[int(x) for x in row] for row in aux.eta]
-    # omega = form / d and alpha = A / c; the flow runs on their integer multiples
-    form, d, value_at_alpha = _first_generic(aux, "omega", seed, budget)
-    c, alpha = integral_multiple(aux.alpha)
-    full = (1 << r) - 1
-    # M(e_m, e_I) per mask m; for a skew M it equals M(e_m, e_{I minus m})
-    eta_sums = subset_sums([sum(row) for row in eta])
-    form_rows = [sum(row) for row in form]
-    form_sums = subset_sums(form_rows)
-    alpha_sums = subset_sums(alpha)
-
-    # the joints t = alpha(e_m) / omega(e_m, e_I) > 0, each unordered split once via
-    # the part m containing index 1; omega(e_m, e_I) has eta's sign, so it is nonzero
-    located = sorted(
-        (Fraction(alpha_sums[m] * d, c * form_sums[m]), m)
-        for m in range(1, full, 2)
-        if eta_sums[m] and alpha_sums[m] * form_sums[m] > 0
-    )
-    ts = [t for t, _ in located]
-    for prev, t in zip(ts, ts[1:]):
-        if t == prev:
-            raise ConsistencyFailure("tied joints on the flow half-line", joint=t)
-
-    def point_at(t: Fraction) -> list:
-        """c d q (alpha + t iota_{e_I} omega) at t = p / q: the flow reads only its signs."""
-        return [d * t.denominator * a - c * t.numerator * w for a, w in zip(alpha, form_rows)]
-
-    ctx, tables = scalar_context(eta), {}
-
-    def flow_value(mask: int, point) -> LaurentPoly:
-        return ctx.decode(_evaluate(mask, point, eta, form, ctx, tables), mask)
-
-    def segment_value(lo: Fraction, hi) -> LaurentPoly:
-        if hi is None:
-            candidates = [lo + off for off in _TAIL_OFFSETS]
-        else:
-            candidates = [lo + (hi - lo) * f for f in _SEGMENT_FRACTIONS]
-        for t in candidates:
-            try:
-                return flow_value(full, point_at(t))
-            except ZeroSignArgument:
-                continue
-        raise ConsistencyFailure("no generic sample point on a segment", joint=lo)
-
-    segment_values = [segment_value(lo, hi) for lo, hi in zip([Fraction(0)] + ts, ts + [None])]
-
-    if segment_values[0] != value_at_alpha:
-        raise ConsistencyFailure("wall value is not constant on the first segment", joint=Fraction(0))
-
-    for i, (t, m) in enumerate(located, start=1):
-        x = point_at(t)
-        if _has_triple_split(x, r):
-            raise ConsistencyFailure("triple split at a joint", joint=t)
-        predicted = kappa(eta_sums[m]) * flow_value(m, x) * flow_value(full ^ m, x)
-        if form_sums[m] > 0:
-            predicted = -predicted
-        measured = segment_values[i - 1] - segment_values[i]
-        if measured != predicted:
-            raise ConsistencyFailure("jump does not match the commutator", joint=t)
-
-    if segment_values[-1] != LaurentPoly.zero():
-        raise ConsistencyFailure(
-            "wall value beyond the last joint is nonzero",
-            joint=ts[-1] if ts else Fraction(0),
-        )
-
-    return ConsistencyReport(wall_value=value_at_alpha, joints=tuple(ts))

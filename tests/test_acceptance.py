@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from quiverdt import scattering
+from quiverdt import flow
 from quiverdt.algebra import LaurentPoly, RatFunc, kappa
 from quiverdt.checks import (
     check_joints,
@@ -23,9 +23,9 @@ from quiverdt.checks import (
 from quiverdt.cli import main
 from quiverdt.dt import AttractorTable, assemble_dt
 from quiverdt.errors import ConsistencyFailure
-from quiverdt.flow import _first_generic, flow_tree_scalar, scalar_context
+from quiverdt.flow import _first_generic, check_joint_consistency, flow_tree_scalar, scalar_context
 from quiverdt.lattice import Quiver, _rng
-from quiverdt.scattering import GradedLie, check_joint_consistency, lie_add
+from quiverdt.scattering import GradedLie, lie_add
 from quiverdt.trees import enumerate_trees, is_leaf, tree_count
 
 from flow_reference import leaf_mask, run_flow, supported_trees, tree_weight
@@ -139,7 +139,7 @@ def test_criterion_7_joint_consistency(monkeypatch):
         return form, d, value + LaurentPoly.const(1)
 
     # negative control: a wall value wrong by 1 fails at the first segment
-    monkeypatch.setattr(scattering, "_first_generic", off_by_one)
+    monkeypatch.setattr(flow, "_first_generic", off_by_one)
     with pytest.raises(ConsistencyFailure, match="first segment"):
         check_joint_consistency(random_instance(3, 77), seed=0)
     _report(7, "joint consistency", started, 60)

@@ -620,6 +620,17 @@ def test_quiver_with_too_many_vertices_exits_2(capsys, tmp_path):
     assert code == 2 and "vertex count must be between 1 and" in err, err
 
 
+@pytest.mark.parametrize("arrows", ["1 2 1001", "1 2 600\narrow 1 2 600", f"1 2 {10 ** 20}"])
+@pytest.mark.parametrize("argv", [["dt", "--gamma", "1,1"], ["F", "--gammas", "1,0", "0,1"]])
+def test_quiver_with_too_many_arrows_exits_2(capsys, tmp_path, arrows, argv):
+    big = tmp_path / "big.quiver"
+    big.write_text(f"vertices 2\narrow {arrows}\n")
+    code = main([*argv, "--quiver", str(big), "--theta=1,-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "", captured.out
+    assert "more than 1000 arrows from 1 to 2" in captured.err and "Traceback" not in captured.err, captured.err
+
+
 def test_oracle_rejects_attractor_of_wrong_length(capsys, tmp_path):
     bad = tmp_path / "bad.attractor"
     bad.write_text("default acyclic\ngamma = 1,2,3 ; omega_star = 1\n")

@@ -22,6 +22,7 @@ from quiverdt.errors import (
 )
 from quiverdt.flow import _first_generic
 from quiverdt.lattice import (
+    MAX_PAIR_ARROWS,
     MAX_VERTICES,
     PERTURBATION_DENOM,
     AuxLattice,
@@ -295,6 +296,15 @@ def test_parse_quiver_vertex_limit():
     for count in (0, MAX_VERTICES + 1, 10 ** 12):
         with pytest.raises(InvalidInput, match="vertex count"):
             parse_quiver(f"vertices {count}\n")
+
+
+def test_parse_quiver_arrow_limit():
+    assert MAX_PAIR_ARROWS == 1000
+    quiver = parse_quiver(f"vertices 2\narrow 1 2 {MAX_PAIR_ARROWS}\narrow 2 1 {MAX_PAIR_ARROWS}\n")
+    assert quiver.arrow_counts == ((0, 1000), (1000, 0))
+    for arrows in ("1 2 1001", "1 2 600\narrow 1 2 600", f"2 1 {10 ** 20}"):
+        with pytest.raises(InvalidInput, match="more than 1000 arrows"):
+            parse_quiver(f"vertices 2\narrow {arrows}\n")
 
 
 def test_skewform_validation():

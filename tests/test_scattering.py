@@ -2,21 +2,25 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quiverdt import scattering
+from quiverdt import flow, scattering
 from quiverdt.algebra import BiLaurent, RatFunc, kappa
 from quiverdt.checks import rank2_initial_data, random_instance, random_integer_table
 from quiverdt.dt import AttractorTable, rational_from_integer
 from quiverdt.errors import ConsistencyFailure, DegreeExceeded, InvalidInput
+from quiverdt.flow import check_joint_consistency
 from quiverdt.lattice import Quiver, _iter_box, _rng, build_aux, euler_skew, parse_quiver
 from quiverdt.scattering import (
     GradedLie,
     _attractor_direction,
     _loop_rays,
-    check_joint_consistency,
     dt_from_rank2,
     lie_add,
     reconstruct_rank2,
@@ -26,6 +30,7 @@ from lie_reference import bch_log_product, path_ordered_product, square_free
 
 RANK2 = GradedLie(form=((0, 1), (-1, 0)), degree_bound=4)
 ACYCLIC = AttractorTable(acyclic_default=True)  # the default attractor data of any 2-vertex quiver
+BENCH_QUIVER = parse_quiver("vertices 3\narrow 1 2 2\narrow 2 3 2\narrow 1 3 1\n")
 
 
 def _lie_eq(a, b):
@@ -327,9 +332,39 @@ def test_joint_consistency_negative_control(monkeypatch):
         return form, d, value + LaurentPoly.const(1)
 
     # the wall value the check starts from is wrong by 1
-    monkeypatch.setattr(scattering, "_first_generic", off_by_one)
+    monkeypatch.setattr(flow, "_first_generic", off_by_one)
     with pytest.raises(ConsistencyFailure, match="first segment"):
         check_joint_consistency(random_instance(3, 7), seed=0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize(
+    "quiver, gammas, theta, joints",
+    [
+        (Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2), 3),
+        (BENCH_QUIVER, [(1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)], (3, 1, -5), 4),
+        (BENCH_QUIVER, [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 1)], (7, 2, -8), 10),
+    ],
+)
+def test_joint_consistency_under_a_fractional_stability_point(quiver, gammas, theta, joints, k):
+    # alpha = A / c with c = k: the gate's point_at and joints carry c
+    whole = check_joint_consistency(build_aux(quiver, gammas, theta), seed=0)
+    assert len(whole.joints) == joints
+    scaled = check_joint_consistency(build_aux(quiver, gammas, [Fraction(x, k) for x in theta]), seed=0)
+    assert scaled.wall_value == whole.wall_value
+    assert scaled.joints == tuple(t / k for t in whole.joints)
+
+
+def test_scattering_imports_neither_flow_nor_dt():
+    # the rank-2 oracle stays independent of the flow tree machinery it checks
+    code = (
+        "import sys, quiverdt.scattering\n"
+        "print(sorted(m for m in sys.modules if m in ('quiverdt.flow', 'quiverdt.dt')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(scattering.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_joint_consistency_requires_rank_two():
