@@ -15,9 +15,9 @@ Three value types live here:
   in y alone, stored as a canonical pair of integer polynomials, so equal
   values have equal pairs, hashes and renderings and only a univariate gcd
   is ever needed.  All of its arithmetic runs in ints: gcds on primitive
-  parts over Z, sums over the lcm of the denominators, products by
-  cancelling each numerator against the other denominator; negation,
-  multiplication by a unit and ``substitute_power`` skip the gcd.  The
+  parts over Z; a sum cancels only against the gcd of its two
+  denominators, and a product only each numerator against the other
+  denominator; negation and ``substitute_power`` skip the gcd.  The
   rational views ``num`` / ``den`` (denominator's lowest term 1) are built
   only when read.
 
@@ -290,12 +290,13 @@ def _times_y_list(n: BiLaurent, p) -> BiLaurent:
     return n * BiLaurent._of({(e, 0): c for e, c in enumerate(p) if c})
 
 
-def _cofactors(b: tuple, d: tuple):
-    """(b / g, d / g) for g the gcd over Q[y] of two denominators."""
+@lru_cache(maxsize=1 << 12)
+def _cofactors(b: tuple, d: tuple) -> tuple:
+    """(g, b / g, d / g) for g the primitive gcd over Q[y] of two denominators, as tuples."""
     g = _gcd_int(_primitive(b), _primitive(d))
     if len(g) == 1:
-        return b, d
-    return _div_exact(b, g), _div_exact(d, g)
+        return (1,), b, d
+    return tuple(g), tuple(_div_exact(b, g)), tuple(_div_exact(d, g))
 
 
 def _cancel(n: dict, d):
@@ -333,15 +334,6 @@ def _content_free(n: dict, d) -> tuple:
     return BiLaurent._of(n), tuple(d)
 
 
-def _normalize(n: dict, d) -> tuple:
-    """The canonical pair of n / d, for int terms n and an int y-list d with d[0] != 0."""
-    if not n:
-        return BiLaurent._of({}), (1,)
-    if len(d) > 1:
-        n, d = _cancel(n, d)
-    return _content_free(n, d)
-
-
 def _integral(c, m: int) -> int:
     """m c as an int, for a coefficient whose denominator divides m."""
     return c * m if isinstance(c, int) else c.numerator * (m // c.denominator)
@@ -360,12 +352,16 @@ class RatFunc:
 
     All arithmetic runs in ints.  The gcd is taken over Z on primitive
     parts; by Gauss's lemma a primitive divisor divides exactly over Z.
-    a/b + c/d is built as (a (d/g) + c (b/g)) / ((b/g) d) with
-    g = gcd(b, d), so the gcd that follows works on the lcm, not on b d.
-    A product cancels N1 against D2 and N2 against D1, the only factors it
-    can share.  Three operations skip the gcd: negation; multiplication by
-    a unit (one term over a constant), which can change only the content;
-    and ``substitute_power``, since a Bezout identity survives y -> y^k.
+    A sum a/b + c/d forms t = a (d/g) + c (b/g) with g = gcd(b, d), taken
+    once per pair of denominators (``_cofactors``).  b/g and d/g are
+    coprime and a, c are prime to b, d, so no factor of b/g or d/g divides
+    t: t is cancelled only against g, and not at all when g = 1 (Henrici's
+    rule; Knuth, TAOCP vol. 2, 4.5.1).  With h = gcd(t, g) the sum is
+    (t/h) / ((b/g) (d/g) (g/h)).  A product cancels N1 against D2 and N2
+    against D1, the only factors it can share; a one-term slice shares
+    none, so a monomial numerator costs no gcd.  Negation and
+    ``substitute_power`` skip the gcd, the latter since a Bezout identity
+    survives y -> y^k.
 
     ``num`` and ``den`` are the rational views N / D[0] and D / D[0], the
     pair scaled so that the denominator's lowest term is the constant +1;
@@ -391,11 +387,6 @@ class RatFunc:
         res = RatFunc.__new__(RatFunc)
         res._n, res._d = n, d
         return res
-
-    @staticmethod
-    def from_pair(num: BiLaurent, den: tuple) -> "RatFunc":
-        """num / den, for a denominator given like ``pair``'s: y-coefficients from y^0 up."""
-        return RatFunc._canonical(*_rational_pair(num, den))
 
     @staticmethod
     def zero() -> "RatFunc":
@@ -434,12 +425,16 @@ class RatFunc:
             return self
         if not self._n._terms:
             return other
-        b, d = self._d, other._d
-        if b == d:
-            return RatFunc._canonical(*_normalize((self._n + other._n)._terms, b))
-        b_g, d_g = _cofactors(b, d)
-        num = _times_y_list(self._n, d_g) + _times_y_list(other._n, b_g)
-        return RatFunc._canonical(*_normalize(num._terms, _poly_mul(b_g, d)))
+        g, b_g, d_g = _cofactors(self._d, other._d)
+        num = (_times_y_list(self._n, d_g) + _times_y_list(other._n, b_g))._terms
+        if not num:
+            return RatFunc.zero()
+        den = _poly_mul(b_g, d_g)
+        if len(g) > 1:
+            # num shares no factor with b/g or d/g, so only g can cancel
+            num, g_h = _cancel(num, g)
+            den = _poly_mul(den, g_h)
+        return RatFunc._canonical(*_content_free(num, den))
 
     __radd__ = __add__
 
@@ -457,13 +452,6 @@ class RatFunc:
         (n1, d1), (n2, d2) = (self._n, self._d), (other._n, other._d)
         if not n1._terms or not n2._terms:
             return RatFunc.zero()
-        for (nu, du), (nf, df) in (((n1, d1), (n2, d2)), ((n2, d2), (n1, d1))):
-            if len(du) == 1 and len(nu._terms) == 1:
-                # a unit c y^a t^b / q: the gcd stays, only the content can change
-                (_, c), q = next(iter(nu._terms.items())), du[0]
-                if q == 1 and (c == 1 or c == -1):
-                    return RatFunc._canonical(nf * nu, df)
-                return RatFunc._canonical(*_content_free((nf * nu)._terms, [q * x for x in df]))
         a, b = n1._terms, n2._terms
         if len(d2) > 1:
             a, d2 = _cancel(a, d2)
@@ -527,7 +515,12 @@ def _rational_pair(num: BiLaurent, d) -> tuple:
         if not isinstance(c, int):
             m = math.lcm(m, c.denominator)
     n = {e: _integral(c, m) for e, c in num._terms.items()}
-    return _normalize(n, [_integral(c, m) for c in d])
+    if not n:
+        return BiLaurent._of({}), (1,)
+    d = [_integral(c, m) for c in d]
+    if len(d) > 1:
+        n, d = _cancel(n, d)
+    return _content_free(n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,11 @@ rational attractor values of its parts, divided by the order of the
 multiset's symmetry group.  Theta is pulled back once per call
 (``lattice.Pullback``): as integer numerators over one denominator c, so
 each alpha_i is an int dot product, a Fraction only when c != 1, and the
-Euler column M gamma_p of each part p is formed once.  The sum runs per
-weight denominator: a decomposition D weighs w(D) = prod_p Omega_bar(p) /
-|Aut D|, a canonical RatFunc with integer pair (N, Q), and the numerators
-F(D) N of all D with one Q are added as polynomials; only those few sums
-are normalized.  Canonical forms are unique, so the result has the same
-pair as the term-by-term sum.  Multicover conversion between integer-level
-and rational invariants runs in both directions; the inverse direction
+Euler column M gamma_p of each part p is formed once.  Each decomposition
+D adds F(D) w(D) to one RatFunc total, with weight w(D) = prod_p
+Omega_bar(p) / |Aut D|; a RatFunc sum cancels only against the gcd of its
+two denominators.  Multicover conversion between integer-level and
+rational invariants runs in both directions; the inverse direction
 asserts integrality.
 
 Universal coefficients depend only on (r, pulled-back form, sign pattern
@@ -359,7 +357,7 @@ def assemble_dt(
         raise NotGenericTheta(f"theta = ({shown}) is not generic for gamma = {gamma}")
 
     allowed_parts = [p for p in _iter_box(gamma) if not table.rational_value(p).is_zero()]
-    numerators: dict = {}  # weight denominator -> sum of F(D) * weight numerator
+    total = RatFunc.zero()
     for decomp in enumerate_decompositions(gamma, parts=allowed_parts):
         alpha = [pullback.theta_of(p) for p in decomp.parts]
         if vanishes_at_root(pullback.pairings(decomp.parts, gamma), alpha):
@@ -368,12 +366,11 @@ def assemble_dt(
         coeff = universal_coefficient(aux, mode=mode, seed=seed, budget=budget, cache=cache)
         if coeff.is_zero():
             continue
-        weight = RatFunc(1, decomp.aut_order)
+        term = RatFunc(coeff, decomp.aut_order)  # F(D) w(D)
         for part in decomp.parts:
-            weight = weight * table.rational_value(part)
-        num, den = weight.pair
-        numerators[den] = numerators.get(den, BiLaurent.zero()) + coeff.to_bilaurent() * num
-    return sum((RatFunc.from_pair(num, den) for den, num in numerators.items()), RatFunc.zero())
+            term = term * table.rational_value(part)
+        total = total + term
+    return total
 
 
 def assemble_divisors(

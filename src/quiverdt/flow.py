@@ -47,13 +47,15 @@ sign argument the sum depends on is read, and a zero one raises
 ZeroSignArgument.  ``_first_generic`` is the one place that accepts or
 rejects a perturbation: it checks alpha once, evaluates the integer
 draws of ``lattice``, one per resample, in turn, and returns the first
-one whose evaluation goes through, as (W, d, F) with the draw W / d.
+one whose evaluation goes through, as (W, d, F, tables) with the draw
+W / d and the split tables its evaluation built.
 
 ``check_joint_consistency`` is the gate of the formula's consistency
 along the half-line alpha + t iota_{e_I} omega.  Its joints are the
 root's splits in the split table of I, and at each one the jump of the
 wall value must be the commutator of the two incoming walls; every value
-is an evaluation of the same integer flow.
+is an evaluation of the same integer flow, on the draw's split tables,
+so each mask's table is built once.
 """
 
 from __future__ import annotations
@@ -255,16 +257,17 @@ def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
 
 
 def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
-    """(numerators, d, F) for the first draw of the seed on which the scalar formula evaluates.
+    """(numerators, d, F, tables) for the first draw of the seed on which the formula evaluates.
 
-    The draw is numerators / d.  In omega mode the draws are perturbed
-    forms and the flow starts at alpha; in beta mode they are perturbed
-    start points and the form is eta itself.  Both go to the evaluator as
-    the integers ``lattice`` draws them in, one per resample; the first
-    beta draw is alpha itself, as A / c with c its lcm denominator.  An
-    alpha that fails the finite genericity test raises NotGenericAlpha
-    before any draw, and ``budget`` resamples without an evaluation that
-    goes through raise SamplingTimeout.
+    The draw is numerators / d, and ``tables`` holds the split tables its
+    evaluation built (``_split_table``).  In omega mode the draws are
+    perturbed forms and the flow starts at alpha; in beta mode they are
+    perturbed start points and the form is eta itself.  Both go to the
+    evaluator as the integers ``lattice`` draws them in, one per resample;
+    the first beta draw is alpha itself, as A / c with c its lcm
+    denominator.  An alpha that fails the finite genericity test raises
+    NotGenericAlpha before any draw, and ``budget`` resamples without an
+    evaluation that goes through raise SamplingTimeout.
 
     An evaluation that goes through is the whole certificate.  The omega
     draws keep eta's sign wherever eta is nonzero (U^eta), and nothing
@@ -291,11 +294,12 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
     ctx = scalar_context(eta)
     full = (1 << aux.r) - 1
     for draw, d, start, form in candidates:
+        tables: dict = {}
         try:
-            value = _evaluate(full, start, eta, form, ctx, {})
+            value = _evaluate(full, start, eta, form, ctx, tables)
         except ZeroSignArgument:
             continue
-        return draw, d, ctx.decode(value, full)
+        return draw, d, ctx.decode(value, full), tables
     raise SamplingTimeout(f"no admissible {mode} after {budget} resamples")
 
 
@@ -364,11 +368,12 @@ def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> C
         raise InvalidInput("joint consistency needs r >= 2")
     eta = [[int(x) for x in row] for row in aux.eta]
     # omega = form / d and alpha = A / c; the flow runs on their integer multiples
-    form, d, value_at_alpha = _first_generic(aux, "omega", seed, budget)
+    # the gate evaluates on the draw's form, so it extends the draw's split tables
+    form, d, value_at_alpha, tables = _first_generic(aux, "omega", seed, budget)
     c, alpha = integral_multiple(aux.alpha)
-    full, tables = (1 << r) - 1, {}
+    full = (1 << r) - 1
     # the root's splits L, each unordered split of I once, as the part containing index 1
-    _, form_rows, splits = _split_table(full, eta, form, tables)
+    _, form_rows, splits = tables[full]
     alphas = subset_sums(alpha[1:], alpha[0])
 
     # the joints t = alpha(e_L) / omega(e_L, e_I) > 0; every split of the table has

@@ -1,12 +1,12 @@
 """Euclid-over-Fractions reference for the canonical form of ``RatFunc``.
 
 ``quiverdt.algebra`` stores a pair of integer polynomials, takes its gcds
-over Z, adds over the lcm of the denominators and skips the gcd where the
-canonical form already holds.  This module keeps the definition its
-``num`` / ``den`` views are checked against: for a product-form num / den,
-Euclid over Q[y] on the denominator and every t-slice of the numerator,
-division by the monic gcd, then scaling so that the denominator's lowest
-term is the constant +1.
+over Z, cancels a sum only against the gcd of its two denominators and
+skips the gcd where the canonical form already holds.  This module keeps
+the definition its ``num`` / ``den`` views are checked against: for a
+product-form num / den, Euclid over Q[y] on the denominator and every
+t-slice of the numerator, division by the monic gcd, then scaling so that
+the denominator's lowest term is the constant +1.
 
 It also keeps the hand-written parser that ``parse_bilaurent`` replaced:
 a character scan for the term signs, and ``Fraction(str)`` on every

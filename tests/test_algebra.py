@@ -11,6 +11,7 @@ from algebra_reference import canonical_pair, reference_parse_bilaurent
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quiverdt import algebra
 from quiverdt.algebra import (
     BiLaurent,
     LaurentPoly,
@@ -402,6 +403,36 @@ def test_ratfunc_add_over_coprime_and_shared_denominators():
     assert (RatFunc(1, _ONE + _Y) + RatFunc(1, _ONE - _Y)).render() == "(2) / (1 - y^2)"
     shared = RatFunc(1, _ONE + _Y) - RatFunc(_Y, (_ONE + _Y) * (_ONE + _Y * 2))
     assert shared.render() == "(1) / (1 + 2*y)"
+    # equal denominators with content 2: the pair (2, 0, 2)
+    two = _ONE * 2 + _Y * _Y * 2
+    assert (RatFunc(_Y, two) + RatFunc(_T, two)).render() == "(1/2*t + 1/2*y) / (1 + y^2)"
+    doubled = RatFunc(_Y, two) + RatFunc(_Y, two)
+    assert doubled.pair == (_Y, (1, 0, 1)) and doubled.render() == "(y) / (1 + y^2)"
+    # a sum over the shared factor 1 - y^2 that cancels to 0
+    zero = RatFunc(1, _ONE + _Y) + RatFunc(1, _ONE - _Y) - RatFunc(2, _ONE - _Y * _Y)
+    assert zero.pair == (BiLaurent.zero(), (1,)) and zero.render() == "0"
+    # coprime denominators 2 (1 + 2y) and 3 (1 - y) carry content
+    coprime = RatFunc(1, _ONE * 2 + _Y * 4) + RatFunc(1, _ONE * 3 - _Y * 3)
+    assert coprime.pair == (_ONE * 5 + _Y, (6, 6, -12))
+    assert coprime.render() == "(5/6 + 1/6*y) / (1 + y - 2*y^2)"
+    mixed = RatFunc(_T, _ONE * 2 + _Y * 4) + RatFunc(_Y, _ONE * 6 - _Y * 6)
+    assert mixed.render() == "(1/2*t + 1/6*y - 1/2*y*t + 1/3*y^2) / (1 + y - 2*y^2)"
+
+
+def test_ratfunc_sums_over_one_coprime_pair_take_one_gcd(monkeypatch):
+    # the cofactors of a pair of denominators are cached, and g = 1 leaves nothing to cancel
+    left = RatFunc(1, _ONE + _Y)
+    rights = [RatFunc(BiLaurent.monomial(i, 0), _ONE - _Y) for i in range(20)]
+    calls = []
+    gcd = algebra._gcd_int
+    algebra._cofactors.cache_clear()
+    monkeypatch.setattr(algebra, "_gcd_int", lambda a, b: calls.append((a, b)) or gcd(a, b))
+    sums = [left + right for right in rights]
+    assert len(calls) <= 1
+    monkeypatch.undo()
+    for i, total in enumerate(sums):
+        expected = _ONE - _Y + BiLaurent.monomial(i, 0) + BiLaurent.monomial(i + 1, 0)
+        assert total == RatFunc(expected, _ONE - _Y * _Y)
 
 
 def test_ratfunc_gcd_with_fraction_coefficients_and_a_constant_slice():

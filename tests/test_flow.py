@@ -347,7 +347,7 @@ def test_split_evaluator_off_dyadic_points():
     for r in (3, 4, 5):
         for trial in range(2):
             aux = random_instance(r, 600 + 10 * r + trial)
-            omega, d, _ = _first_generic(aux, "omega", trial, 1000)
+            omega, d, _, _ = _first_generic(aux, "omega", trial, 1000)
             # d (eta + (omega - eta) / 3), with omega = W / d as the integer W
             third = tuple(
                 tuple(d * e + Fraction(w - d * e, 3) for e, w in zip(eta_row, row))
@@ -554,7 +554,7 @@ def test_packed_scalar_decodes_a_leaf_under_a_zero_eta():
 def test_packed_scalar_decodes_coefficients_above_2_16():
     # r = 10: the LaurentPoly bracket run through the same evaluator at the certified draw
     aux = random_instance(10, 0)
-    form, _, value = _first_generic(aux, "omega", 0, 1000)
+    form, _, value, _ = _first_generic(aux, "omega", 0, 1000)
     assert max(abs(c) for c in value.terms().values()) > 1 << 16
     assert value == flow_tree_sum(range(1, 11), aux.eta, laurent_context(10), aux.alpha, form)
     assert sum(abs(c) for c in value.terms().values()) <= _l1_bound(aux.eta)

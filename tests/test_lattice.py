@@ -214,7 +214,7 @@ def test_sample_omega_rank2():
 
 def test_sample_omega_rank3_degenerate_pair():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
-    omega, d, _ = _first_generic(aux, "omega", 0, 1000)
+    omega, d, _, _ = _first_generic(aux, "omega", 0, 1000)
     # eta(e1, e2) = 0, so W(e1, e2) is R's entry, a sign the evaluator never reads
     assert abs(omega[0][1]) <= PERTURBATION_DENOM < d
     _postcondition_omega(aux, omega)
@@ -222,7 +222,7 @@ def test_sample_omega_rank3_degenerate_pair():
 
 def test_sample_omega_deterministic():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
-    (w3, d3, _), (w3_again, d3_again, _), (w4, d4, _) = (
+    (w3, d3, *_), (w3_again, d3_again, *_), (w4, d4, *_) = (
         _first_generic(aux, "omega", seed, 1000) for seed in (3, 3, 4)
     )
     assert (w3, d3) == (w3_again, d3_again)
@@ -241,13 +241,13 @@ def test_sample_omega_rejects_degenerate_alpha():
 
 def test_sample_beta_rank2_returns_alpha():
     aux = AuxLattice(gammas=((1, 0), (0, 1)), eta=((0, 1), (-1, 0)), alpha=(Fraction(1), Fraction(-1)))
-    beta, d, _ = _first_generic(aux, "beta", 0, 1000)
+    beta, d, _, _ = _first_generic(aux, "beta", 0, 1000)
     assert (beta, d) == ([1, -1], 1)
 
 
 def test_sample_beta_rank3_postconditions():
     aux = build_aux(Quiver.kronecker(2), [(1, 0), (1, 0), (0, 1)], (1, -2))
-    beta, d, _ = _first_generic(aux, "beta", 0, 1000)
+    beta, d, _, _ = _first_generic(aux, "beta", 0, 1000)
     assert sum(beta) == 0
     # keeps alpha's signs on every subset where alpha is nonzero
     for mask in nonempty_masks(aux.r):

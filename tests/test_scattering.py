@@ -328,13 +328,27 @@ def test_joint_consistency_negative_control(monkeypatch):
     from quiverdt.flow import _first_generic
 
     def off_by_one(*args):
-        form, d, value = _first_generic(*args)
-        return form, d, value + LaurentPoly.const(1)
+        form, d, value, tables = _first_generic(*args)
+        return form, d, value + LaurentPoly.const(1), tables
 
     # the wall value the check starts from is wrong by 1
     monkeypatch.setattr(flow, "_first_generic", off_by_one)
     with pytest.raises(ConsistencyFailure, match="first segment"):
         check_joint_consistency(random_instance(3, 7), seed=0)
+
+
+def test_joint_consistency_builds_each_split_table_once(monkeypatch):
+    # the gate extends the split tables of the accepted draw instead of starting its own
+    built = []
+    build = flow._split_table
+
+    def counting(mask, *args):
+        built.append(mask)
+        return build(mask, *args)
+
+    monkeypatch.setattr(flow, "_split_table", counting)
+    check_joint_consistency(random_instance(7, 0), seed=0)
+    assert len(built) == len(set(built)) == 60
 
 
 @pytest.mark.parametrize("k", [2, 3])
