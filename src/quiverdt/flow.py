@@ -42,9 +42,10 @@ a product of r - 1 factors kappa(p) with |kappa(p)|_1 = |p| <= P = E_I, so
 2^(w - 1) > P^(r - 1) (2r - 3)!! bounds its l1 norm and fixes w.  P is
 taken as at least 1, so that w >= 2 and a single leaf, 1, fits too.
 
-Evaluation doubles as the certificate of a sampled perturbation: every
-sign argument the sum depends on is read, and a zero one raises
-ZeroSignArgument.  ``_first_generic`` is the one place that accepts or
+Evaluation doubles as the certificate of a sampled perturbation: it
+reads the sign arguments its value depends on, never those under the
+sibling of a zero side, and a zero one raises ZeroSignArgument.
+``_first_generic`` is the one place that accepts or
 rejects a perturbation: it checks alpha once, evaluates the integer
 draws of ``lattice``, one per resample, in turn, and returns the first
 one whose evaluation goes through, as (W, d, F, tables) with the draw
@@ -55,7 +56,7 @@ along the half-line alpha + t iota_{e_I} omega.  Its joints are the
 root's splits in the split table of I, and at each one the jump of the
 wall value must be the commutator of the two incoming walls; every value
 is an evaluation of the same integer flow, on the draw's split tables,
-so each mask's table is built once.
+so each mask's table is built at most once.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import itemgetter
 
 from .algebra import LaurentPoly, kappa
 from .errors import ConsistencyFailure, InvalidInput, NotGenericAlpha, SamplingTimeout, ZeroSignArgument
@@ -89,7 +91,8 @@ class BracketContext:
     already read.  It must be bilinear, antisymmetric under swapping
     (x, mask_x) with (y, mask_y), additive in the grading, and must vanish
     whenever the pairing vanishes (the compatibility the graded Lie
-    algebras here always satisfy).  Values need ``+`` and unary ``-``.
+    algebras here always satisfy).  Values need ``+``, unary ``-`` and
+    ``==`` with ``zero``: the sibling of a side equal to it is skipped.
     ``decode(value, mask)`` turns the sum graded at e_mask into the value
     returned; it is the identity unless given.
     """
@@ -160,8 +163,9 @@ def _split_table(mask: int, eta, form, tables: dict) -> tuple:
     the bits of J belongs to L.
     """
     bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    eta_rows = [sum(eta[i][j] for j in bits) for i in bits]  # eta(e_i, e_J)
-    form_rows = [sum(form[i][j] for j in bits) for i in bits]  # omega(e_i, e_J)
+    row = itemgetter(*bits)
+    eta_rows = [sum(row(eta[i])) for i in bits]  # eta(e_i, e_J)
+    form_rows = [sum(row(form[i])) for i in bits]  # omega(e_i, e_J)
     lefts = subset_sums([1 << i for i in bits[1:]], 1 << bits[0])
     etas = subset_sums(eta_rows[1:], eta_rows[0])
     forms = subset_sums(form_rows[1:], form_rows[0])
@@ -173,13 +177,25 @@ def _split_table(mask: int, eta, form, tables: dict) -> tuple:
 def _evaluate(mask: int, theta, eta, form, ctx: BracketContext, tables: dict):
     """F(mask, theta): the flow tree sum over the trees on the indices of mask.
 
-    ``tables`` keeps the split table of each mask (``_split_table``).
+    ``tables`` keeps the split table of each mask of three or more bits
+    (``_split_table``); a mask {i, j}, one split, is read inline.
     """
-    if mask & (mask - 1) == 0:
+    low, high = mask & -mask, mask & (mask - 1)
+    if not high:
         return ctx.leaf_values[mask.bit_length()]
+    if high & (high - 1) == 0:  # L = {i}: no sign is read when eta_ij = 0
+        i, j = low.bit_length() - 1, high.bit_length() - 1
+        pairing, a, b = eta[i][j], theta[i], form[i][j]
+        if pairing and (a == 0 or b == 0):
+            raise ZeroSignArgument(f"vanishing sign argument at split {low:b}|{high:b}")
+        if not pairing or (a > 0) != (b > 0):
+            return ctx.zero
+        value = ctx.bracket(ctx.leaf_values[i + 1], ctx.leaf_values[j + 1], low, high, pairing)
+        return -value if a > 0 else value
     bits, form_rows, splits = tables.get(mask) or _split_table(mask, eta, form, tables)
     thetas = subset_sums([theta[i] for i in bits[1:]], theta[bits[0]])
-    total = ctx.zero
+    total = zero = ctx.zero
+    leaves = ctx.leaf_values
     for s, left, pairing, b in splits:
         a, right = thetas[s], mask ^ left
         if a == 0 or b == 0:
@@ -190,10 +206,17 @@ def _evaluate(mask: int, theta, eta, form, ctx: BracketContext, tables: dict):
         step, a_abs, b_abs = list(theta), abs(a), abs(b)
         for i, v in zip(bits, form_rows):
             step[i] = b_abs * theta[i] - a_abs * v
-        # Both sides are evaluated even when one is zero, so that every sign
-        # argument the sum depends on is checked.
-        value_left = _evaluate(left, step, eta, form, ctx, tables)
-        value_right = _evaluate(right, step, eta, form, ctx, tables)
+        # A bracket with a zero side is zero, so the other side is not
+        # evaluated and no sign under it is read.  A one-index side is read
+        # first, from the leaf values; of two larger sides, the left one.
+        if right & (right - 1) == 0:
+            value_right = leaves[right.bit_length()]
+            value_left = zero if value_right == zero else _evaluate(left, step, eta, form, ctx, tables)
+        else:
+            value_left = leaves[low.bit_length()] if s == 0 else _evaluate(left, step, eta, form, ctx, tables)
+            value_right = zero if value_left == zero else _evaluate(right, step, eta, form, ctx, tables)
+        if value_left == zero or value_right == zero:
+            continue
         value = ctx.bracket(value_left, value_right, left, right, pairing)
         total = total + (-value if a > 0 else value)
     return total
@@ -274,12 +297,15 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
     else is required of them.  U_J, omega nonvanishing on disjoint pairs
     where eta vanishes, constrains only quantities the evaluator never
     reads as a sign: it drops a split with eta(e_L, e_R) = 0 before it
-    reads any.  A draw whose evaluation goes through has every sign it
-    reads nonzero, so the value is locally constant around it, and every
-    neighbourhood of a U^eta draw contains fully generic draws, where the
-    value is the flow tree formula's, the same for every generic
-    perturbation.  So a draw that evaluates gives F, and a retry at a
-    smaller shrink exponent adds nothing.
+    reads any, nor under the sibling of a zero side, a term times 0.  The
+    signs an evaluation that goes through reads are all nonzero, so each
+    keeps its sign on a neighbourhood U of the draw; by induction over the
+    recursion, every draw in U reads the same signs, gets the same values
+    and skips the same sides, so the value is constant on U.  U holds
+    fully generic draws, as every neighbourhood of a U^eta draw does;
+    there the full evaluation is the flow tree formula, the same for every
+    generic perturbation, and the skipped terms are 0.  So a draw that
+    evaluates gives F, and a retry at a smaller shrink exponent adds nothing.
     """
     eta = [[int(x) for x in row] for row in aux.eta]
     if mode == "omega":
@@ -373,7 +399,7 @@ def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> C
     c, alpha = integral_multiple(aux.alpha)
     full = (1 << r) - 1
     # the root's splits L, each unordered split of I once, as the part containing index 1
-    _, form_rows, splits = tables[full]
+    _, form_rows, splits = tables.get(full) or _split_table(full, eta, form, tables)
     alphas = subset_sums(alpha[1:], alpha[0])
 
     # the joints t = alpha(e_L) / omega(e_L, e_I) > 0; every split of the table has

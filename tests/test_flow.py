@@ -6,7 +6,7 @@ of quiverdt.flow is checked against.
 
 import random
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import prod
 
 import pytest
@@ -326,8 +326,10 @@ def test_flow_tree_sum_accepts_integral_fraction_eta():
 def _reference_check(r, eta, start, form) -> bool:
     """Check the evaluator against the reference; return whether a sign vanished.
 
-    The evaluator raises ZeroSignArgument exactly where the tree-by-tree
-    walk reads a zero sign argument, and otherwise equals tree_sum.
+    The evaluator raises ZeroSignArgument where the tree-by-tree walk
+    reads a zero sign argument, and otherwise equals tree_sum.  It skips
+    the sibling of a zero side, so the first holds only on instances with
+    no zero sign under such a sibling, as on every one checked here.
     """
     ctx = scalar_context(eta)
     if reads_zero_sign(r, eta, start, form):
@@ -489,18 +491,134 @@ def test_split_evaluator_equals_tree_sum_free_bracket(mode):
     assert nonzero > 0
 
 
-def test_zero_sibling_value_still_checks_signs():
+def test_a_zero_side_skips_the_signs_of_its_sibling():
     # With eta itself from this start point, one sign argument vanishes, and
     # only below the right side of a split whose left side holds leaf 1.
-    # Leaf 1 carries the value 0, so that left side is zero whatever the
-    # signs; the evaluator must still read the right side and refuse.
+    # With leaf 1 at 0, every side that holds it is 0, so its sibling is not
+    # evaluated: the sum is 0 and the vanishing sign is never read.
     eta = ((0, 1, 1, 2), (-1, 0, 1, 0), (-1, -1, 0, 2), (-2, 0, -2, 0))
     start = _fr(2, 2, 2, -6)
-    ctx = scalar_context(eta)
-    ctx.leaf_values[1] = 0  # the packed zero
     eta_frac = tuple(tuple(Fraction(x) for x in row) for row in eta)
     with pytest.raises(ZeroSignArgument):
-        flow_tree_sum(range(1, 5), eta, ctx, start, eta_frac)
+        flow_tree_sum(range(1, 5), eta, scalar_context(eta), start, eta_frac)
+    ctx = scalar_context(eta)
+    ctx.leaf_values[1] = 0  # the packed zero
+    assert flow_tree_sum(range(1, 5), eta, ctx, start, eta_frac) == LaurentPoly.zero()
+
+
+def test_a_sign_hidden_under_a_zero_side_leaves_the_formula_value():
+    # The walk over every tree reads a zero sign here, but only under a side
+    # whose value is 0.  The evaluator skips that side and goes through; its
+    # value is tree_sum's at nearby start points, where no sign vanishes.
+    eta = ((0, 2, 0, 2, 1), (-2, 0, 0, -1, 2), (0, 0, 0, 0, 2), (-2, 1, 0, 0, 2), (-1, -2, -2, -2, 0))
+    alpha = (1, 3, 3, 2, -9)
+    assert reads_zero_sign(5, eta, alpha, eta)
+    value = flow_tree_sum(range(1, 6), eta, scalar_context(eta), alpha, eta)
+    assert value != LaurentPoly.zero()
+    for delta in ((1, -2, 3, 0, -2), (-3, 1, 1, 2, -1), (2, 2, -1, -1, -2)):
+        near = tuple(a + Fraction(d, 10**6) for a, d in zip(alpha, delta))
+        assert not reads_zero_sign(5, eta, near, eta)
+        assert tree_sum(5, eta, near, eta, laurent_context(5)) == value
+
+
+def _sparse_instance(rng, r):
+    """A skew eta with entries in -2..2, three in seven of them 0, and an integer alpha summing to 0."""
+    eta = [[0] * r for _ in range(r)]
+    for i, j in combinations(range(r), 2):
+        eta[i][j] = rng.choice((0, 0, 0, 1, -1, 2, -2))
+        eta[j][i] = -eta[i][j]
+    alpha = [rng.randint(-9, 9) for _ in range(r - 1)]
+    alpha.append(-sum(alpha))
+    unit = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
+    return AuxLattice(gammas=unit, eta=tuple(map(tuple, eta)), alpha=tuple(map(Fraction, alpha)))
+
+
+def test_skipped_sides_keep_every_value_the_reference_reads_without_a_zero_sign():
+    # Wherever the walk over every tree reads no zero sign, the evaluator goes
+    # through with tree_sum's value, under the form eta and under an omega draw.
+    # reads_zero_sign walks every tree, so it runs only to confirm an instance
+    # where the evaluator raises or tree_sum raises or differs.
+    rng = random.Random(41)
+    ranks = [3] * 400 + [4] * 400 + [5] * 176 + [6] * 20 + [7] * 4
+    compared = nonzero = 0
+    for n, r in enumerate(ranks):
+        aux = _sparse_instance(rng, r)
+        omega, _ = next(_omega_numerators(aux, n))
+        for form in (aux.eta, omega):
+            try:
+                value = flow_tree_sum(range(1, r + 1), aux.eta, scalar_context(aux.eta), aux.alpha, form)
+            except ZeroSignArgument:
+                assert reads_zero_sign(r, aux.eta, aux.alpha, form)
+                continue
+            try:
+                expected = tree_sum(r, aux.eta, aux.alpha, form, laurent_context(r))
+            except ZeroSignArgument:
+                expected = None
+            if value != expected:
+                assert reads_zero_sign(r, aux.eta, aux.alpha, form)
+                continue
+            compared += 1
+            nonzero += value != LaurentPoly.zero()
+    assert compared > 1000 and nonzero > 150
+
+
+def _recording_context(calls):
+    """The kappa bracket on LaurentPoly leaves 2, 3 and 5, recording the arguments of each call."""
+
+    def bracket(*args):
+        calls.append(args)
+        x, y, _, _, pairing = args
+        return kappa(pairing) * x * y
+
+    leaves = {i: LaurentPoly.const(c) for i, c in ((1, 2), (2, 3), (3, 5))}
+    return BracketContext(bracket, leaves, LaurentPoly.zero())
+
+
+def _pair_instance(indices, pairing, theta_i, form_ij):
+    """eta and the form on 1..3, nonzero only on the pair of indices, and theta_i at its lower index."""
+    i, j = (k - 1 for k in indices)
+    eta, form = [[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)]
+    eta[i][j], eta[j][i], form[i][j], form[j][i] = pairing, -pairing, form_ij, -form_ij
+    start = [0, 0, 0]
+    start[i], start[j] = theta_i, -theta_i
+    return eta, start, form
+
+
+@pytest.mark.parametrize("indices", [(1, 2), (1, 3), (2, 3)])
+def test_a_two_index_mask_brackets_its_leaves_with_the_reference_sign(indices):
+    i, j = indices
+    for pairing, theta_i, form_ij in product((1, -2), (1, -1), (3, -1)):
+        eta, start, form = _pair_instance(indices, pairing, theta_i, form_ij)
+        calls = []
+        value = flow_tree_sum(indices, eta, _recording_context(calls), start, form)
+        reference = _recording_context([])
+        leaves = reference.leaf_values
+        reference.leaf_values = {1: leaves[i], 2: leaves[j]}
+        restricted = (_restrict(x, indices) for x in (eta, start, form))
+        assert value == tree_sum(2, *restricted, reference)
+        # eps = 0 when theta_i and the form have opposite signs: no bracket is formed
+        expected = [(leaves[i], leaves[j], 1 << (i - 1), 1 << (j - 1), pairing)]
+        assert calls == (expected if (theta_i > 0) == (form_ij > 0) else [])
+        assert (value == LaurentPoly.zero()) == (not calls)
+
+
+@pytest.mark.parametrize("indices", [(1, 2), (1, 3), (2, 3)])
+def test_a_two_index_mask_reads_no_sign_where_eta_vanishes(indices):
+    for theta_i, form_ij in ((0, 0), (0, 1), (1, 0)):
+        eta, start, form = _pair_instance(indices, 0, theta_i, form_ij)
+        calls = []
+        assert flow_tree_sum(indices, eta, _recording_context(calls), start, form) == LaurentPoly.zero()
+        assert calls == []
+
+
+@pytest.mark.parametrize("indices", [(1, 2), (1, 3), (2, 3)])
+def test_a_two_index_mask_raises_on_a_vanishing_sign(indices):
+    for theta_i, form_ij in ((0, 1), (0, -1), (1, 0), (-1, 0), (0, 0)):
+        eta, start, form = _pair_instance(indices, 2, theta_i, form_ij)
+        calls = []
+        with pytest.raises(ZeroSignArgument):
+            flow_tree_sum(indices, eta, _recording_context(calls), start, form)
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -338,7 +338,8 @@ def test_joint_consistency_negative_control(monkeypatch):
 
 
 def test_joint_consistency_builds_each_split_table_once(monkeypatch):
-    # the gate extends the split tables of the accepted draw instead of starting its own
+    # the gate extends the split tables of the accepted draw instead of starting its own;
+    # a two-index mask, and a mask only under a skipped side, builds none
     built = []
     build = flow._split_table
 
@@ -348,7 +349,7 @@ def test_joint_consistency_builds_each_split_table_once(monkeypatch):
 
     monkeypatch.setattr(flow, "_split_table", counting)
     check_joint_consistency(random_instance(7, 0), seed=0)
-    assert len(built) == len(set(built)) == 60
+    assert len(built) == len(set(built)) == 40
 
 
 @pytest.mark.parametrize("k", [2, 3])
