@@ -43,9 +43,11 @@ a product of r - 1 factors kappa(p) with |kappa(p)|_1 = |p| <= P = E_I, so
 taken as at least 1, so that w >= 2 and a single leaf, 1, fits too.
 
 Evaluation doubles as the certificate of a sampled perturbation: it
-reads the sign arguments its value depends on, never those under the
-sibling of a zero side, and a zero one raises ZeroSignArgument.
-``_first_generic`` is the one place that accepts or
+reads the sign arguments its value depends on, and a zero one raises
+ZeroSignArgument.  Of the two sides of a split it evaluates the side
+with fewer indices first, the left one on a tie (a one-index side is a
+leaf value), and skips the other side when the first is zero, reading
+no sign under it.  ``_first_generic`` is the one place that accepts or
 rejects a perturbation: it checks alpha once, evaluates the integer
 draws of ``lattice``, one per resample, in turn, and returns the first
 one whose evaluation goes through, as (W, d, F, tables) with the draw
@@ -92,7 +94,8 @@ class BracketContext:
     (x, mask_x) with (y, mask_y), additive in the grading, and must vanish
     whenever the pairing vanishes (the compatibility the graded Lie
     algebras here always satisfy).  Values need ``+``, unary ``-`` and
-    ``==`` with ``zero``: the sibling of a side equal to it is skipped.
+    ``==`` with ``zero``: when the side of a split evaluated first equals
+    it, the other side is skipped.
     ``decode(value, mask)`` turns the sum graded at e_mask into the value
     returned; it is the identity unless given.
     """
@@ -207,14 +210,16 @@ def _evaluate(mask: int, theta, eta, form, ctx: BracketContext, tables: dict):
         for i, v in zip(bits, form_rows):
             step[i] = b_abs * theta[i] - a_abs * v
         # A bracket with a zero side is zero, so the other side is not
-        # evaluated and no sign under it is read.  A one-index side is read
-        # first, from the leaf values; of two larger sides, the left one.
-        if right & (right - 1) == 0:
-            value_right = leaves[right.bit_length()]
-            value_left = zero if value_right == zero else _evaluate(left, step, eta, form, ctx, tables)
-        else:
+        # evaluated and no sign under it is read.  The side with fewer
+        # indices goes first, the left one on a tie; a one-index side, which
+        # always goes first, is read from the leaf values.
+        if left.bit_count() <= right.bit_count():  # s = 0 is the one-index left side
             value_left = leaves[low.bit_length()] if s == 0 else _evaluate(left, step, eta, form, ctx, tables)
             value_right = zero if value_left == zero else _evaluate(right, step, eta, form, ctx, tables)
+        else:
+            single = right & (right - 1) == 0
+            value_right = leaves[right.bit_length()] if single else _evaluate(right, step, eta, form, ctx, tables)
+            value_left = zero if value_right == zero else _evaluate(left, step, eta, form, ctx, tables)
         if value_left == zero or value_right == zero:
             continue
         value = ctx.bracket(value_left, value_right, left, right, pairing)
@@ -297,7 +302,9 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
     else is required of them.  U_J, omega nonvanishing on disjoint pairs
     where eta vanishes, constrains only quantities the evaluator never
     reads as a sign: it drops a split with eta(e_L, e_R) = 0 before it
-    reads any, nor under the sibling of a zero side, a term times 0.  The
+    reads any.  Nor does it read any under the side it skips: of the two
+    sides of a split it evaluates the one with fewer indices first, the
+    left one on a tie, and a zero value there makes the term 0.  The
     signs an evaluation that goes through reads are all nonzero, so each
     keeps its sign on a neighbourhood U of the draw; by induction over the
     recursion, every draw in U reads the same signs, gets the same values

@@ -7,7 +7,8 @@ decorated tree, its epsilon-signs, and the bracket value of one tree,
 summed over the eta-supported trees that ``enumerate_trees`` yields, and
 the scalar bracket kappa(eta(e_A, e_B)) a b on ``LaurentPoly`` values.
 A tree is the encoding of ``quiverdt.trees``; ``leaf_mask`` and
-``interior_vertices`` read its vertices.
+``interior_vertices`` read its vertices.  The walks below read a tree
+through ``_masked``, which computes the leaf masks of its vertices once.
 """
 
 from fractions import Fraction
@@ -33,6 +34,18 @@ def leaf_mask(node) -> int:
     return leaf_mask(node[0]) | leaf_mask(node[1])
 
 
+def _masked(node):
+    """The vertex as (vertex, leaf mask, children), with its children in the same form.
+
+    A leaf has no children.  One pass over the tree computes every leaf
+    mask, so a walk reads each one without recomputing it.
+    """
+    if is_leaf(node):
+        return node, 1 << (node - 1), ()
+    children = (_masked(node[0]), _masked(node[1]))
+    return node, children[0][1] | children[1][1], children
+
+
 def interior_vertices(tree):
     """Interior vertices (pair encodings) in root-to-leaves preorder."""
     stack = [tree]
@@ -56,15 +69,15 @@ def laurent_context(r: int) -> BracketContext:
 
 def _contraction(matrix, mask: int):
     """iota_{e_mask} of the form, as the row sum over the indices of mask."""
-    return tuple(sum(matrix[i][j] for i in mask_indices(mask)) for j in range(len(matrix)))
+    return tuple(map(sum, zip(*(matrix[i] for i in mask_indices(mask)))))
 
 
-def _sign_arguments(theta_parent, left, right, omega):
-    """theta(e_L) and omega(e_L, e_R), raising when either vanishes."""
-    a = mask_sum(theta_parent, leaf_mask(left))
-    b = pair_masks(omega, leaf_mask(left), leaf_mask(right))
+def _sign_arguments(theta_parent, ml, mr, omega):
+    """theta(e_L) and omega(e_L, e_R) for the leaf masks of L and R, raising when either vanishes."""
+    a = mask_sum(theta_parent, ml)
+    b = pair_masks(omega, ml, mr)
     if a == 0 or b == 0:
-        raise ZeroSignArgument(f"vanishing sign argument at vertex {(left, right)}")
+        raise ZeroSignArgument(f"vanishing sign argument at split {ml:b}|{mr:b}")
     return a, b
 
 
@@ -80,11 +93,12 @@ def run_flow(tree, alpha, omega) -> dict:
     """
     assignment = {ROOT: tuple(alpha)}
 
-    def descend(node, theta_parent):
-        if is_leaf(node):
+    def descend(vertex, theta_parent):
+        node, mv, children = vertex
+        if not children:
             return
-        left, right = node
-        ml, mv = leaf_mask(left), leaf_mask(node)
+        left, right = children
+        ml = left[1]
         denom = pair_masks(omega, mv, ml)
         if denom == 0:
             raise DivisionByZeroPairing(f"omega(e_v, e_v') = 0 at charge {mv:b}/{ml:b}")
@@ -94,7 +108,7 @@ def run_flow(tree, alpha, omega) -> dict:
         descend(left, theta)
         descend(right, theta)
 
-    descend(tree, tuple(alpha))
+    descend(_masked(tree), tuple(alpha))
     return assignment
 
 
@@ -106,28 +120,30 @@ def epsilon_signs(tree, assignment: dict, omega) -> dict:
     """
     signs = {}
 
-    def walk(node, parent_key):
-        if is_leaf(node):
+    def walk(vertex, parent_key):
+        node, _, children = vertex
+        if not children:
             return
-        left, right = node
-        signs[node] = _epsilon(*_sign_arguments(assignment[parent_key], left, right, omega))
+        left, right = children
+        signs[node] = _epsilon(*_sign_arguments(assignment[parent_key], left[1], right[1], omega))
         walk(left, node)
         walk(right, node)
 
-    walk(tree, ROOT)
+    walk(_masked(tree), ROOT)
     return signs
 
 
 def supported_trees(eta, r: int):
     """Trees on 1..r with a nonzero eta-pairing at every interior vertex."""
-    return [
-        tree
-        for tree in enumerate_trees(range(1, r + 1))
-        if all(
-            pair_masks(eta, leaf_mask(v[0]), leaf_mask(v[1])) != 0
-            for v in interior_vertices(tree)
-        )
-    ]
+
+    def supported(vertex):
+        _, _, children = vertex
+        if not children:
+            return True
+        left, right = children
+        return pair_masks(eta, left[1], right[1]) != 0 and supported(left) and supported(right)
+
+    return [tree for tree in enumerate_trees(range(1, r + 1)) if supported(_masked(tree))]
 
 
 def tree_weight(tree, eta, start, form, ctx):
@@ -137,27 +153,28 @@ def tree_weight(tree, eta, start, form, ctx):
     so only the sign arguments the tree's weight depends on are checked.
     """
 
-    def evaluate(node, theta_parent):
-        if is_leaf(node):
+    def evaluate(vertex, theta_parent):
+        node, mask, children = vertex
+        if not children:
             return ctx.leaf_values[node]
-        left, right = node
-        a, b = _sign_arguments(theta_parent, left, right, form)
+        left, right = children
+        ml, mr = left[1], right[1]
+        a, b = _sign_arguments(theta_parent, ml, mr, form)
         eps = _epsilon(a, b)
         if eps == 0:
             return None
         coef = Fraction(a, 1) / b
-        theta = tuple(tp + coef * rv for tp, rv in zip(theta_parent, _contraction(form, leaf_mask(node))))
+        theta = tuple(tp + coef * rv for tp, rv in zip(theta_parent, _contraction(form, mask)))
         value_left = evaluate(left, theta)
         if value_left is None:
             return None
         value_right = evaluate(right, theta)
         if value_right is None:
             return None
-        ml, mr = leaf_mask(left), leaf_mask(right)
         value = ctx.bracket(value_left, value_right, ml, mr, pair_masks(eta, ml, mr))
         return -value if eps < 0 else value
 
-    return evaluate(tree, tuple(start))
+    return evaluate(_masked(tree), tuple(start))
 
 
 def tree_sum(r: int, eta, start, form, ctx):
@@ -179,20 +196,21 @@ def reads_zero_sign(r: int, eta, start, form) -> bool:
     eta-orthogonal splits before any sign and stops below a zero epsilon.
     """
 
-    def walk(node, theta_parent):
-        if is_leaf(node):
+    def walk(vertex, theta_parent):
+        _, mask, children = vertex
+        if not children:
             return False
-        left, right = node
-        if pair_masks(eta, leaf_mask(left), leaf_mask(right)) == 0:
+        left, right = children
+        if pair_masks(eta, left[1], right[1]) == 0:
             return False
         try:
-            a, b = _sign_arguments(theta_parent, left, right, form)
+            a, b = _sign_arguments(theta_parent, left[1], right[1], form)
         except ZeroSignArgument:
             return True
         if _epsilon(a, b) == 0:
             return False
         coef = Fraction(a, 1) / b
-        theta = tuple(tp + coef * rv for tp, rv in zip(theta_parent, _contraction(form, leaf_mask(node))))
+        theta = tuple(tp + coef * rv for tp, rv in zip(theta_parent, _contraction(form, mask)))
         return walk(left, theta) or walk(right, theta)
 
-    return any(walk(tree, tuple(start)) for tree in enumerate_trees(range(1, r + 1)))
+    return any(walk(_masked(tree), tuple(start)) for tree in enumerate_trees(range(1, r + 1)))
