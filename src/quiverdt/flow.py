@@ -17,10 +17,10 @@ skew M, M(e_L, e_L) = 0, so M(e_L, e_{J minus L}) = M(e_L, e_J), and the
 pairings eta(e_L, e_R) and omega(e_L, e_R) are the sums over L of the
 row sums M(e_i, e_J); theta(e_L) is the sum over L of theta.  These
 tables are subset_sums over the splits L = {l} + S, S a proper subset of
-the rest of J.  Those of eta and omega depend on the mask alone and are
-built once per mask per evaluation (``_split_table``); theta's is built
-per call, and theta is updated only on the bits of J (its children read
-nothing else).
+the rest of J.  Those of eta and omega depend on the mask alone: one
+``Evaluation`` of (eta, omega) builds each once, for every theta
+(``Evaluation.split_table``); theta's is built per call, and theta is
+updated only on the bits of J (its children read nothing else).
 
 The evaluator runs in integers: the rules read only signs, so F(J, c theta)
 = F(J, theta) for c > 0, and omega's positive multiples give the same step.
@@ -50,15 +50,15 @@ leaf value), and skips the other side when the first is zero, reading
 no sign under it.  ``_first_generic`` is the one place that accepts or
 rejects a perturbation: it checks alpha once, evaluates the integer
 draws of ``lattice``, one per resample, in turn, and returns the first
-one whose evaluation goes through, as (W, d, F, tables) with the draw
-W / d and the split tables its evaluation built.
+one whose evaluation goes through, as (W, d, F, evaluation) with the
+draw W / d and its ``Evaluation``, which the beta draws, all on eta, share.
 
 ``check_joint_consistency`` is the gate of the formula's consistency
 along the half-line alpha + t iota_{e_I} omega.  Its joints are the
 root's splits in the split table of I, and at each one the jump of the
 wall value must be the commutator of the two incoming walls; every value
-is an evaluation of the same integer flow, on the draw's split tables,
-so each mask's table is built at most once.
+is read through the draw's ``Evaluation``, so each mask's table is
+built at most once.
 """
 
 from __future__ import annotations
@@ -156,75 +156,83 @@ def scalar_context(eta) -> BracketContext:
     return BracketContext(bracket, dict.fromkeys(range(1, r + 1), 1), 0, decode)
 
 
-def _split_table(mask: int, eta, form, tables: dict) -> tuple:
-    """Build and keep ``tables[mask]`` = (bits, form_rows, splits) for a mask of two or more bits.
+class Evaluation:
+    """The flow tree sums on the integer skew forms eta and form, in the bracket ``ctx``.
 
-    ``bits`` are the indices of J = mask, ``form_rows`` the row pairings
-    omega(e_i, e_J) over them, and ``splits`` one entry (s, L, eta(e_L,
-    e_J), omega(e_L, e_J)) per split L = {low} + (the subset s of the other
-    bits), L != J, with eta(e_L, e_J) != 0: entry s of a subset sum over
-    the bits of J belongs to L.
+    ``tables`` keeps the split table of each mask built so far; a table
+    depends on (eta, form) alone, so the values at every theta share them.
     """
-    bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
-    row = itemgetter(*bits)
-    eta_rows = [sum(row(eta[i])) for i in bits]  # eta(e_i, e_J)
-    form_rows = [sum(row(form[i])) for i in bits]  # omega(e_i, e_J)
-    lefts = subset_sums([1 << i for i in bits[1:]], 1 << bits[0])
-    etas = subset_sums(eta_rows[1:], eta_rows[0])
-    forms = subset_sums(form_rows[1:], form_rows[0])
-    splits = [t for t in zip(range(len(lefts) - 1), lefts, etas, forms) if t[2]]  # all but L = J
-    table = tables[mask] = (bits, form_rows, splits)
-    return table
 
+    def __init__(self, eta, form, ctx: BracketContext):
+        self.eta, self.form, self.ctx = eta, form, ctx
+        self.tables: dict = {}
 
-def _evaluate(mask: int, theta, eta, form, ctx: BracketContext, tables: dict):
-    """F(mask, theta): the flow tree sum over the trees on the indices of mask.
+    def split_table(self, mask: int) -> tuple:
+        """(bits, form_rows, splits) for a mask of two or more bits, built on a miss and kept.
 
-    ``tables`` keeps the split table of each mask of three or more bits
-    (``_split_table``); a mask {i, j}, one split, is read inline.
-    """
-    low, high = mask & -mask, mask & (mask - 1)
-    if not high:
-        return ctx.leaf_values[mask.bit_length()]
-    if high & (high - 1) == 0:  # L = {i}: no sign is read when eta_ij = 0
-        i, j = low.bit_length() - 1, high.bit_length() - 1
-        pairing, a, b = eta[i][j], theta[i], form[i][j]
-        if pairing and (a == 0 or b == 0):
-            raise ZeroSignArgument(f"vanishing sign argument at split {low:b}|{high:b}")
-        if not pairing or (a > 0) != (b > 0):
-            return ctx.zero
-        value = ctx.bracket(ctx.leaf_values[i + 1], ctx.leaf_values[j + 1], low, high, pairing)
-        return -value if a > 0 else value
-    bits, form_rows, splits = tables.get(mask) or _split_table(mask, eta, form, tables)
-    thetas = subset_sums([theta[i] for i in bits[1:]], theta[bits[0]])
-    total = zero = ctx.zero
-    leaves = ctx.leaf_values
-    for s, left, pairing, b in splits:
-        a, right = thetas[s], mask ^ left
-        if a == 0 or b == 0:
-            raise ZeroSignArgument(f"vanishing sign argument at split {left:b}|{right:b}")
-        if (a > 0) != (b > 0):
-            continue  # eps = 0
-        # |b| times theta - (a / b) omega(e_i, e_J) on the bits of J; here sgn(b) a = |a|
-        step, a_abs, b_abs = list(theta), abs(a), abs(b)
-        for i, v in zip(bits, form_rows):
-            step[i] = b_abs * theta[i] - a_abs * v
-        # A bracket with a zero side is zero, so the other side is not
-        # evaluated and no sign under it is read.  The side with fewer
-        # indices goes first, the left one on a tie; a one-index side, which
-        # always goes first, is read from the leaf values.
-        if left.bit_count() <= right.bit_count():  # s = 0 is the one-index left side
-            value_left = leaves[low.bit_length()] if s == 0 else _evaluate(left, step, eta, form, ctx, tables)
-            value_right = zero if value_left == zero else _evaluate(right, step, eta, form, ctx, tables)
-        else:
-            single = right & (right - 1) == 0
-            value_right = leaves[right.bit_length()] if single else _evaluate(right, step, eta, form, ctx, tables)
-            value_left = zero if value_right == zero else _evaluate(left, step, eta, form, ctx, tables)
-        if value_left == zero or value_right == zero:
-            continue
-        value = ctx.bracket(value_left, value_right, left, right, pairing)
-        total = total + (-value if a > 0 else value)
-    return total
+        ``bits`` are the indices of J = mask, ``form_rows`` the pairings
+        omega(e_i, e_J) over them, and ``splits`` one entry (s, L, eta(e_L,
+        e_J), omega(e_L, e_J)) per split L = {low} + (the subset s of the
+        other bits), L != J, with eta(e_L, e_J) != 0.
+        """
+        table = self.tables.get(mask)
+        if table is None:
+            bits = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            row = itemgetter(*bits)
+            eta_rows = [sum(row(self.eta[i])) for i in bits]  # eta(e_i, e_J)
+            form_rows = [sum(row(self.form[i])) for i in bits]  # omega(e_i, e_J)
+            lefts = subset_sums([1 << i for i in bits[1:]], 1 << bits[0])
+            etas = subset_sums(eta_rows[1:], eta_rows[0])
+            forms = subset_sums(form_rows[1:], form_rows[0])
+            splits = [t for t in zip(range(len(lefts) - 1), lefts, etas, forms) if t[2]]  # all but L = J
+            table = self.tables[mask] = (bits, form_rows, splits)
+        return table
+
+    def value(self, mask: int, theta):
+        """F(mask, theta) in ``ctx``, the sum over the trees on mask; a mask {i, j} is read inline."""
+        ctx = self.ctx
+        low, high = mask & -mask, mask & (mask - 1)
+        if not high:
+            return ctx.leaf_values[mask.bit_length()]
+        if high & (high - 1) == 0:  # L = {i}: no sign is read when eta_ij = 0
+            i, j = low.bit_length() - 1, high.bit_length() - 1
+            pairing, a, b = self.eta[i][j], theta[i], self.form[i][j]
+            if pairing and (a == 0 or b == 0):
+                raise ZeroSignArgument(f"vanishing sign argument at split {low:b}|{high:b}")
+            if not pairing or (a > 0) != (b > 0):
+                return ctx.zero
+            value = ctx.bracket(ctx.leaf_values[i + 1], ctx.leaf_values[j + 1], low, high, pairing)
+            return -value if a > 0 else value
+        bits, form_rows, splits = self.split_table(mask)
+        thetas = subset_sums([theta[i] for i in bits[1:]], theta[bits[0]])
+        total = zero = ctx.zero
+        leaves = ctx.leaf_values
+        for s, left, pairing, b in splits:
+            a, right = thetas[s], mask ^ left
+            if a == 0 or b == 0:
+                raise ZeroSignArgument(f"vanishing sign argument at split {left:b}|{right:b}")
+            if (a > 0) != (b > 0):
+                continue  # eps = 0
+            # |b| times theta - (a / b) omega(e_i, e_J) on the bits of J; here sgn(b) a = |a|
+            step, a_abs, b_abs = list(theta), abs(a), abs(b)
+            for i, v in zip(bits, form_rows):
+                step[i] = b_abs * theta[i] - a_abs * v
+            # A bracket with a zero side is zero, so the other side is not
+            # evaluated and no sign under it is read.  The side with fewer
+            # indices goes first, the left one on a tie; a one-index side, which
+            # always goes first, is read from the leaf values.
+            if left.bit_count() <= right.bit_count():  # s = 0 is the one-index left side
+                value_left = leaves[low.bit_length()] if s == 0 else self.value(left, step)
+                value_right = zero if value_left == zero else self.value(right, step)
+            else:
+                single = right & (right - 1) == 0
+                value_right = leaves[right.bit_length()] if single else self.value(right, step)
+                value_left = zero if value_right == zero else self.value(left, step)
+            if value_left == zero or value_right == zero:
+                continue
+            value = ctx.bracket(value_left, value_right, left, right, pairing)
+            total = total + (-value if a > 0 else value)
+        return total
 
 
 def vanishes_at_root(pairings, alpha) -> bool:
@@ -232,9 +240,9 @@ def vanishes_at_root(pairings, alpha) -> bool:
 
     ``pairings`` are the row pairings eta(e_i, e_I) and ``alpha`` the
     unperturbed stability point, int or Fraction entries.  The root of
-    ``_evaluate`` reads, in this order, the splits L containing 1, L != I,
-    with eta(e_L, e_I) != 0, and a split contributes only when theta(e_L)
-    and omega(e_L, e_R) have one sign.  Every omega draw keeps the sign of
+    ``Evaluation.value`` reads, in this order, the splits L containing 1,
+    L != I, with eta(e_L, e_I) != 0, and a split contributes only when
+    theta(e_L) and omega(e_L, e_R) have one sign.  Every omega draw keeps the sign of
     eta on such a split, and every beta draw the sign of alpha where alpha
     is nonzero.  So when alpha is nonzero with the sign opposite to eta on
     every split read, neither mode reads a contributing split, and none of
@@ -280,22 +288,23 @@ def flow_tree_sum(indices, eta, ctx: BracketContext, alpha0, form):
         raise InvalidInput("indices must not be empty")
     c = lcm(*(x.denominator for x in to_scale))
     form = [[int(x * c) for x in row] for row in form]
-    value = _evaluate(mask, [int(x * c) for x in alpha0], eta, form, ctx, {})
+    value = Evaluation(eta, form, ctx).value(mask, [int(x * c) for x in alpha0])
     return ctx.decode(value, mask)
 
 
 def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
-    """(numerators, d, F, tables) for the first draw of the seed on which the formula evaluates.
+    """(numerators, d, F, evaluation) for the seed's first draw on which the formula evaluates.
 
-    The draw is numerators / d, and ``tables`` holds the split tables its
-    evaluation built (``_split_table``).  In omega mode the draws are
-    perturbed forms and the flow starts at alpha; in beta mode they are
-    perturbed start points and the form is eta itself.  Both go to the
-    evaluator as the integers ``lattice`` draws them in, one per resample;
-    the first beta draw is alpha itself, as A / c with c its lcm
-    denominator.  An alpha that fails the finite genericity test raises
-    NotGenericAlpha before any draw, and ``budget`` resamples without an
-    evaluation that goes through raise SamplingTimeout.
+    The draw is numerators / d, and ``evaluation`` the ``Evaluation``
+    that evaluated it: one per form in omega mode, where the draws are
+    perturbed forms and the flow starts at alpha; one for all draws in
+    beta mode, where they are perturbed start points and the form is eta
+    itself.  Both go to the evaluator as the integers ``lattice`` draws
+    them in, one per resample; the first beta draw is alpha itself, as
+    A / c with c its lcm denominator.  An alpha that fails the finite
+    genericity test raises NotGenericAlpha before any draw, and
+    ``budget`` resamples without an evaluation that goes through raise
+    SamplingTimeout.
 
     An evaluation that goes through is the whole certificate.  The omega
     draws keep eta's sign wherever eta is nonzero (U^eta), and nothing
@@ -314,25 +323,25 @@ def _first_generic(aux: AuxLattice, mode: str, seed: int, budget: int):
     generic perturbation, and the skipped terms are 0.  So a draw that
     evaluates gives F, and a retry at a smaller shrink exponent adds nothing.
     """
-    eta = [[int(x) for x in row] for row in aux.eta]
+    eta, ctx = aux.eta, scalar_context(aux.eta)
     if mode == "omega":
         alpha = integral_multiple(aux.alpha)[1]
-        candidates = ((form, d, alpha, form) for form, d in _omega_numerators(aux, seed, budget))
+        draws = _omega_numerators(aux, seed, budget)
+        candidates = ((form, d, alpha, Evaluation(eta, form, ctx)) for form, d in draws)
     elif mode == "beta":
-        candidates = ((start, d, start, eta) for start, d in _beta_numerators(aux, seed, budget))
+        evaluation = Evaluation(eta, eta, ctx)
+        candidates = ((start, d, start, evaluation) for start, d in _beta_numerators(aux, seed, budget))
     else:
         raise InvalidInput(f"unknown perturbation mode {mode!r}")
-    if not alpha_is_generic(aux.eta, aux.alpha):
+    if not alpha_is_generic(eta, aux.alpha):
         raise NotGenericAlpha(f"alpha = {aux.alpha} fails the finite genericity test")
-    ctx = scalar_context(eta)
     full = (1 << aux.r) - 1
-    for draw, d, start, form in candidates:
-        tables: dict = {}
+    for draw, d, start, evaluation in candidates:
         try:
-            value = _evaluate(full, start, eta, form, ctx, tables)
+            value = evaluation.value(full, start)
         except ZeroSignArgument:
             continue
-        return draw, d, ctx.decode(value, full), tables
+        return draw, d, ctx.decode(value, full), evaluation
     raise SamplingTimeout(f"no admissible {mode} after {budget} resamples")
 
 
@@ -399,14 +408,12 @@ def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> C
     r = aux.r
     if r < 2:
         raise InvalidInput("joint consistency needs r >= 2")
-    eta = [[int(x) for x in row] for row in aux.eta]
-    # omega = form / d and alpha = A / c; the flow runs on their integer multiples
-    # the gate evaluates on the draw's form, so it extends the draw's split tables
-    form, d, value_at_alpha, tables = _first_generic(aux, "omega", seed, budget)
+    # omega = W / d and alpha = A / c run as W and A, through the draw's evaluation and tables
+    _, d, value_at_alpha, evaluation = _first_generic(aux, "omega", seed, budget)
     c, alpha = integral_multiple(aux.alpha)
-    full = (1 << r) - 1
+    full, decode = (1 << r) - 1, evaluation.ctx.decode
     # the root's splits L, each unordered split of I once, as the part containing index 1
-    _, form_rows, splits = tables.get(full) or _split_table(full, eta, form, tables)
+    _, form_rows, splits = evaluation.split_table(full)
     alphas = subset_sums(alpha[1:], alpha[0])
 
     # the joints t = alpha(e_L) / omega(e_L, e_I) > 0; every split of the table has
@@ -425,11 +432,6 @@ def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> C
         """c d q (alpha + t iota_{e_I} omega) at t = p / q: the flow reads only its signs."""
         return [d * t.denominator * a - c * t.numerator * w for a, w in zip(alpha, form_rows)]
 
-    ctx = scalar_context(eta)
-
-    def flow_value(mask: int, point) -> LaurentPoly:
-        return ctx.decode(_evaluate(mask, point, eta, form, ctx, tables), mask)
-
     def segment_value(lo: Fraction, hi) -> LaurentPoly:
         if hi is None:
             candidates = [lo + off for off in _TAIL_OFFSETS]
@@ -437,7 +439,7 @@ def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> C
             candidates = [lo + (hi - lo) * f for f in _SEGMENT_FRACTIONS]
         for t in candidates:
             try:
-                return flow_value(full, point_at(t))
+                return decode(evaluation.value(full, point_at(t)), full)
             except ZeroSignArgument:
                 continue
         raise ConsistencyFailure("no generic sample point on a segment", joint=lo)
@@ -451,7 +453,8 @@ def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> C
         x = point_at(t)
         if _has_triple_split(x, r):
             raise ConsistencyFailure("triple split at a joint", joint=t)
-        predicted = kappa(pairing) * flow_value(left, x) * flow_value(full ^ left, x)
+        value_left, value_right = (decode(evaluation.value(m, x), m) for m in (left, full ^ left))
+        predicted = kappa(pairing) * value_left * value_right
         if b > 0:
             predicted = -predicted
         measured = segment_values[i - 1] - segment_values[i]

@@ -187,8 +187,8 @@ class AuxLattice:
     """Rank-r lattice with basis mapped to the classes gamma_1..gamma_r.
 
     eta is the pulled-back integer skew form (int or integral Fraction
-    entries), alpha the pulled-back stability point (int or Fraction
-    entries); alpha(e_I) = 0 always holds.
+    entries, kept as a tuple of int tuples), alpha the pulled-back
+    stability point (int or Fraction entries); alpha(e_I) = 0 always holds.
     """
 
     gammas: tuple
@@ -205,6 +205,7 @@ class AuxLattice:
         if not all(isinstance(x, int) or isinstance(x, Fraction) and x.denominator == 1
                    for row in self.eta for x in row):
             raise InvalidInput("eta needs integral entries")
+        object.__setattr__(self, "eta", tuple(tuple(map(int, row)) for row in self.eta))
         if not all(isinstance(a, (int, Fraction)) for a in self.alpha):
             raise InvalidInput("alpha needs int or Fraction entries")
         if sum(self.alpha) != 0:
@@ -430,11 +431,10 @@ def _omega_numerators(aux: AuxLattice, seed: int, budget: int = 1000):
     never reads as a sign.
     """
     r = aux.r
-    eta = [[int(x) for x in row] for row in aux.eta]
     d = PERTURBATION_DENOM << max(MIN_SHRINK_EXPONENT, (r * r // 3).bit_length())
     for attempt in range(budget):
         numer = _random_skew(_rng(seed, "omega", attempt), r)
-        yield [[d * e + x for e, x in zip(eta_row, row)] for eta_row, row in zip(eta, numer)], d
+        yield [[d * e + x for e, x in zip(eta_row, row)] for eta_row, row in zip(aux.eta, numer)], d
 
 
 def _beta_numerators(aux: AuxLattice, seed: int, budget: int = 1000):

@@ -29,7 +29,8 @@ def mask_sum(vec, mask: int):
 
 def pair_masks(matrix, ma: int, mb: int):
     """Bilinear pairing of the {0,1}-vectors with supports ma and mb."""
-    return sum(matrix[i][j] for i in mask_indices(ma) for j in mask_indices(mb))
+    columns = list(mask_indices(mb))
+    return sum(matrix[i][j] for i in mask_indices(ma) for j in columns)
 
 
 def nonempty_masks(r: int):

@@ -135,8 +135,8 @@ def test_criterion_7_joint_consistency(monkeypatch):
     assert result.passed, result.locus
 
     def off_by_one(*args):
-        form, d, value, tables = _first_generic(*args)
-        return form, d, value + LaurentPoly.const(1), tables
+        form, d, value, evaluation = _first_generic(*args)
+        return form, d, value + LaurentPoly.const(1), evaluation
 
     # negative control: a wall value wrong by 1 fails at the first segment
     monkeypatch.setattr(flow, "_first_generic", off_by_one)

@@ -554,16 +554,34 @@ def test_the_side_with_fewer_indices_is_evaluated_first(monkeypatch, mode, calls
     # Left first throughout takes 1 506 and 1 515 calls here, and the larger
     # side first (a one-index side still first) 2 236 and 2 241.
     counted = []
-    evaluate = flow._evaluate
+    evaluate = flow.Evaluation.value
 
-    def counting(mask, *args):
+    def counting(self, mask, theta):
         counted.append(mask)
-        return evaluate(mask, *args)
+        return evaluate(self, mask, theta)
 
-    monkeypatch.setattr(flow, "_evaluate", counting)
+    monkeypatch.setattr(flow.Evaluation, "value", counting)
     value = flow_tree_scalar(random_instance(8, 0), mode, 0)
     assert value != LaurentPoly.zero()
     assert len(counted) == calls
+
+
+def test_beta_draws_share_one_evaluation(monkeypatch):
+    # every beta draw runs on eta itself, so the tables one draw builds serve
+    # the next; 7 of these 20 instances evaluate more than one draw
+    built = []
+    split_table = flow.Evaluation.split_table
+
+    def counting(self, mask):
+        if mask not in self.tables:
+            built.append(mask)
+        return split_table(self, mask)
+
+    monkeypatch.setattr(flow.Evaluation, "split_table", counting)
+    for t in range(20):
+        built.clear()
+        _first_generic(random_instance(6, t), "beta", 0, 1000)
+        assert len(built) == len(set(built))
 
 
 def _sparse_instance(rng, r):

@@ -12,6 +12,8 @@ import pytest
 import quiverdt.flow as quiverdt_flow
 import quiverdt.lattice as quiverdt_lattice
 
+from quiverdt.checks import random_instance
+from quiverdt.dt import FCache
 from quiverdt.errors import (
     GenericityError,
     InvalidInput,
@@ -325,6 +327,16 @@ def test_aux_lattice_rejects_an_alpha_entry_that_is_not_int_or_fraction(alpha):
         AuxLattice(gammas=((1, 0), (0, 1)), eta=((0, 1), (-1, 0)), alpha=alpha)
 
 
+def test_aux_lattice_keeps_integral_fraction_eta_as_ints():
+    whole = random_instance(5, 3)
+    fractional = AuxLattice(whole.gammas, tuple(tuple(map(Fraction, row)) for row in whole.eta), whole.alpha)
+    assert fractional.eta == whole.eta
+    assert all(type(x) is int for row in fractional.eta for x in row)
+    assert FCache.key_for(fractional) == FCache.key_for(whole)
+    for mode in ("omega", "beta"):
+        assert quiverdt_flow.flow_tree_scalar(fractional, mode) == quiverdt_flow.flow_tree_scalar(whole, mode)
+
+
 def test_aux_lattice_rejects_an_empty_decomposition():
     with pytest.raises(InvalidInput, match="at least one class"):
         AuxLattice(gammas=(), eta=(), alpha=())
@@ -499,7 +511,7 @@ def test_sampling_timeout_after_the_reference_budget(monkeypatch, mode):
         raise ZeroSignArgument("rejected")
 
     # both modes evaluate each draw through this one entry
-    monkeypatch.setattr(quiverdt_flow, "_evaluate", rejecting)
+    monkeypatch.setattr(quiverdt_flow.Evaluation, "value", rejecting)
     with pytest.raises(SamplingTimeout):
         _first_generic(aux, mode, SKIP_SEED, 3)
     assert len(calls) == expected

@@ -328,8 +328,8 @@ def test_joint_consistency_negative_control(monkeypatch):
     from quiverdt.flow import _first_generic
 
     def off_by_one(*args):
-        form, d, value, tables = _first_generic(*args)
-        return form, d, value + LaurentPoly.const(1), tables
+        form, d, value, evaluation = _first_generic(*args)
+        return form, d, value + LaurentPoly.const(1), evaluation
 
     # the wall value the check starts from is wrong by 1
     monkeypatch.setattr(flow, "_first_generic", off_by_one)
@@ -338,17 +338,18 @@ def test_joint_consistency_negative_control(monkeypatch):
 
 
 def test_joint_consistency_builds_each_split_table_once(monkeypatch):
-    # the gate extends the split tables of the accepted draw instead of starting its own;
-    # a two-index mask, and a mask only under a skipped side, builds none; the
-    # evaluator's smaller-side-first order fixes which masks are skipped
+    # the gate extends the split tables of the accepted draw's evaluation instead of
+    # starting its own; a two-index mask, and a mask only under a skipped side, builds
+    # none; the evaluator's smaller-side-first order fixes which masks are skipped
     built = []
-    build = flow._split_table
+    split_table = flow.Evaluation.split_table
 
-    def counting(mask, *args):
-        built.append(mask)
-        return build(mask, *args)
+    def counting(self, mask):
+        if mask not in self.tables:
+            built.append(mask)
+        return split_table(self, mask)
 
-    monkeypatch.setattr(flow, "_split_table", counting)
+    monkeypatch.setattr(flow.Evaluation, "split_table", counting)
     check_joint_consistency(random_instance(7, 0), seed=0)
     assert len(built) == len(set(built)) == 35
 
