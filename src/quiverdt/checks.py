@@ -168,15 +168,15 @@ def check_oracle(m: int, max_dim: int, seed: int = 0, budget: int = 1000) -> Che
 
 
 def _chamber_representatives(q: Quiver, gamma):
-    """One gamma-generic theta per chamber of the wall of gamma."""
+    """One gamma-generic theta per chamber of the wall of gamma.
+
+    Genericity reads only the zeros of theta, so theta and -theta are
+    generic together: both chambers are kept or neither.
+    """
     att = _attractor_direction(euler_skew(q).matrix, gamma)
     if att == (0, 0):
         # Degenerate pairing: a single chamber; pick any covector on the wall.
-        theta = (Fraction(gamma[1]), Fraction(-gamma[0]))
-        return [theta] if is_gamma_generic(theta, gamma) else []
-    out = []
-    for sign in (1, -1):
-        theta = (Fraction(sign * att[0]), Fraction(sign * att[1]))
-        if is_gamma_generic(theta, gamma):
-            out.append(theta)
-    return out
+        thetas = [(Fraction(gamma[1]), Fraction(-gamma[0]))]
+    else:
+        thetas = [(Fraction(sign * att[0]), Fraction(sign * att[1])) for sign in (1, -1)]
+    return thetas if is_gamma_generic(thetas[0], gamma) else []

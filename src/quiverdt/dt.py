@@ -223,12 +223,8 @@ def enumerate_decompositions(gamma, parts=None):
     if not is_positive_dimvec(gamma):
         raise InvalidInput(f"not a positive dimension vector: {gamma}")
     if parts is None:
-        candidates = sorted(_iter_box(gamma), reverse=True)
-    else:
-        candidates = sorted(
-            (tuple(p) for p in parts if all(c <= g for c, g in zip(p, gamma))),
-            reverse=True,
-        )
+        parts = _iter_box(gamma)
+    candidates = sorted((tuple(p) for p in parts if all(c <= g for c, g in zip(p, gamma))), reverse=True)
     zero = (0,) * len(gamma)
 
     def recurse(remaining, start):

@@ -375,22 +375,15 @@ _TAIL_OFFSETS = (1, 2, Fraction(1, 2), 3, Fraction(5, 2), 5, Fraction(7, 3))
 
 
 def _has_triple_split(point, r: int) -> bool:
-    """Is there a partition of {1..r} into >= 3 parts, all annihilated by point?"""
-    full = (1 << r) - 1
+    """Is there a partition of {1..r} into >= 3 parts, all annihilated by point?
+
+    Exactly when point kills e_I and two distinct null proper masks B, A
+    nest, B inside A: parts P1, P2, ... give B = P1 inside A = P1 u P2, and
+    nested B, A give the null parts B, A minus B and I minus A.
+    """
     sums = subset_sums(point)
-    null_masks = [m for m in range(1, full) if sums[m] == 0]
-
-    def cover(remaining: int, parts: int) -> bool:
-        if remaining == 0:
-            return parts >= 3
-        low = remaining & -remaining
-        for m in null_masks:
-            if m & low and (m & ~remaining) == 0:
-                if cover(remaining & ~m, parts + 1):
-                    return True
-        return False
-
-    return cover(full, 0)
+    null = [m for m in range(1, (1 << r) - 1) if sums[m] == 0]
+    return sums[-1] == 0 and any(b != a and b & a == b for a in null for b in null)
 
 
 def check_joint_consistency(aux: AuxLattice, seed: int, budget: int = 1000) -> ConsistencyReport:

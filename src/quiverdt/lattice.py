@@ -126,11 +126,6 @@ def dot(theta, gamma):
     return sum(t * g for t, g in zip(theta, gamma))
 
 
-def _collinear(a, b) -> bool:
-    n = len(a)
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
-
-
 def _iter_box(gamma):
     """All integer vectors 0 <= v <= gamma componentwise, excluding zero."""
     n = len(gamma)
@@ -147,19 +142,23 @@ def _iter_box(gamma):
 
 
 def is_gamma_generic(theta, gamma) -> bool:
-    """True iff theta kills no class 0 < gamma' <= gamma not collinear with gamma.
+    """True iff theta kills gamma and no class 0 < gamma' <= gamma not collinear with gamma.
 
     Only componentwise-dominated classes can occur in decompositions of
     gamma, so this finite box check suffices for everything computed here.
+    The table holds theta on the box 0 <= v <= gamma, one addition per
+    entry, coordinate by coordinate; its last entry is theta(gamma).  A box
+    class is collinear with gamma exactly when it is j gamma / g for
+    0 <= j <= g, g = gcd(gamma), and once theta kills gamma it kills all
+    g + 1 of them: any further zero is a class off gamma's line.
     """
-    if dot(theta, gamma) != 0:
-        return False
-    for gp in _iter_box(gamma):
-        if _collinear(gp, gamma):
-            continue
-        if dot(theta, gp) == 0:
-            return False
-    return True
+    sums = [0]
+    for t, g in zip(theta, gamma):
+        block = sums
+        for _ in range(g):
+            block = [s + t for s in block]
+            sums += block
+    return sums[-1] == 0 and sums.count(0) == math.gcd(*gamma) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +297,14 @@ def alpha_is_generic(eta, alpha) -> bool:
     """Finite (I, eta)-genericity test on a point of the wall e_I^perp.
 
     alpha must not vanish on e_J' for any proper nonempty J' whose pairing
-    eta(e_I, e_J') is nonzero.
+    eta(e_I, e_J') is nonzero.  Only the J' holding index 1 are read, the
+    table ``flow.vanishes_at_root`` reads: on the wall a subset and its
+    complement carry opposite alpha and opposite eta(e_I, .).
     """
-    r = len(alpha)
-    full = (1 << r) - 1
-    pairings = subset_sums([sum(column) for column in zip(*eta)])  # eta(e_I, e_m) per mask m
-    sums = subset_sums(integral_multiple(alpha)[1])  # zero exactly where alpha's sums are
-    return not any(pairings[m] != 0 and sums[m] == 0 for m in range(1, full))
+    columns = [sum(column) for column in zip(*eta)]  # eta(e_I, e_i) per index i
+    alphas = integral_multiple(alpha)[1]  # zero exactly where alpha's sums are
+    pairings, sums = subset_sums(columns[1:], columns[0]), subset_sums(alphas[1:], alphas[0])
+    return not any(p != 0 and s == 0 for p, s in zip(pairings[:-1], sums[:-1]))
 
 
 # ---------------------------------------------------------------------------

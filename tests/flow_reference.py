@@ -9,6 +9,8 @@ the scalar bracket kappa(eta(e_A, e_B)) a b on ``LaurentPoly`` values.
 A tree is the encoding of ``quiverdt.trees``; ``leaf_mask`` and
 ``interior_vertices`` read its vertices.  The walks below read a tree
 through ``_masked``, which computes the leaf masks of its vertices once.
+``has_triple_split`` is the joint gate's triple-split test as a search
+over exact covers.
 """
 
 from fractions import Fraction
@@ -185,6 +187,28 @@ def tree_sum(r: int, eta, start, form, ctx):
         if weight is not None:
             total = total + weight
     return total
+
+
+def has_triple_split(point, r: int) -> bool:
+    """Whether {1..r} is the disjoint union of >= 3 parts that point annihilates.
+
+    A search over exact covers by the null proper masks, each step placing
+    the lowest index not yet covered.
+    """
+    full = (1 << r) - 1
+    null_masks = [m for m in range(1, full) if mask_sum(point, m) == 0]
+
+    def cover(remaining: int, parts: int) -> bool:
+        if remaining == 0:
+            return parts >= 3
+        low = remaining & -remaining
+        for m in null_masks:
+            if m & low and (m & ~remaining) == 0:
+                if cover(remaining & ~m, parts + 1):
+                    return True
+        return False
+
+    return cover(full, 0)
 
 
 def reads_zero_sign(r: int, eta, start, form) -> bool:

@@ -1,25 +1,24 @@
-"""Pair-by-pair reference for the perturbation draws of ``quiverdt.lattice``.
+"""Pair-by-pair reference for the perturbation draws and genericity tests of ``quiverdt.lattice``.
 
 ``quiverdt.lattice`` reads every pairing e_A^T M e_B off subset-sum
 tables.  This module keeps the definition it is checked against: each
 pairing computed on its own with ``pair_masks`` / ``mask_sum`` over
 Fractions, and the shrink exponent found by doubling until every listed
-pair keeps its sign.
+pair keeps its sign.  ``is_gamma_generic`` walks gamma's box class by
+class with a collinearity test, where the package counts the zeros of one
+table.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
-from quiverdt.lattice import PERTURBATION_DENOM, _rng
+from quiverdt.lattice import PERTURBATION_DENOM, _iter_box, _rng, dot
 
 
-def mask_indices(mask: int):
-    """The indices i with bit i of mask set, in increasing order."""
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+@lru_cache(maxsize=None)
+def mask_indices(mask: int) -> tuple:
+    """The indices i with bit i of mask set, in increasing order, listed once per mask."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def mask_sum(vec, mask: int):
@@ -29,8 +28,20 @@ def mask_sum(vec, mask: int):
 
 def pair_masks(matrix, ma: int, mb: int):
     """Bilinear pairing of the {0,1}-vectors with supports ma and mb."""
-    columns = list(mask_indices(mb))
+    columns = mask_indices(mb)
     return sum(matrix[i][j] for i in mask_indices(ma) for j in columns)
+
+
+def _collinear(a, b) -> bool:
+    n = len(a)
+    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+
+
+def is_gamma_generic(theta, gamma) -> bool:
+    """theta kills gamma and no class 0 < gamma' <= gamma that is not collinear with gamma."""
+    if dot(theta, gamma) != 0:
+        return False
+    return not any(dot(theta, gp) == 0 for gp in _iter_box(gamma) if not _collinear(gp, gamma))
 
 
 def nonempty_masks(r: int):

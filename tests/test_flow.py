@@ -20,6 +20,7 @@ from quiverdt.errors import InvalidInput, ZeroSignArgument
 from quiverdt.flow import (
     BracketContext,
     _first_generic,
+    _has_triple_split,
     flow_tree_scalar,
     flow_tree_sum,
     scalar_context,
@@ -39,6 +40,7 @@ from flow_reference import (
     DivisionByZeroPairing,
     _sign_arguments,
     epsilon_signs,
+    has_triple_split,
     laurent_context,
     leaf_mask,
     reads_zero_sign,
@@ -623,6 +625,38 @@ def test_skipped_sides_keep_every_value_the_reference_reads_without_a_zero_sign(
             compared += 1
             nonzero += value != LaurentPoly.zero()
     assert compared > 1000 and nonzero > 150
+
+
+@pytest.mark.parametrize(
+    "point, expected",
+    [
+        ((1, -1, 2, -2), False),
+        ((1, -1, 1, -1), False),
+        ((2, -1, -1), False),
+        ((1, -1, 2, -2, 0), True),
+        ((1, -1, 1, -1, 1, -1), True),
+    ],
+)
+def test_triple_split_examples(point, expected):
+    assert _has_triple_split(point, len(point)) == expected
+    assert has_triple_split(point, len(point)) == expected
+
+
+def test_triple_split_matches_the_exact_cover_search():
+    rng = random.Random(44)
+    seen = set()
+    for trial in range(3000):
+        r = rng.randint(1, 8)
+        point = [rng.randint(-3, 3) for _ in range(r)]
+        if trial % 2:
+            # on the wall: the last entry is minus the sum of the others, kept in [-3, 3]
+            point[-1] = -sum(point[:-1])
+            if abs(point[-1]) > 3:
+                continue
+        expected = has_triple_split(point, r)
+        assert _has_triple_split(point, r) == expected, point
+        seen.add((expected, sum(point) == 0))
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def _recording_context(calls):

@@ -109,6 +109,34 @@ def test_gamma_genericity_examples():
     assert is_gamma_generic((1, -2), (2, 1))
     assert not is_gamma_generic((1, -1, 0), (1, 1, 1))
     assert not is_gamma_generic((0, 0), (1, 1))
+    # gcd 2: theta kills 0, (1, 1, 1) and (2, 2, 2), and no other class of the box
+    assert is_gamma_generic((1, 2, -3), (2, 2, 2))
+    assert is_gamma_generic((3, -2), (2, 3))
+    assert not is_gamma_generic((1, -1, 0), (2, 2, 2))
+    assert is_gamma_generic((Fraction(1, 2), Fraction(-1, 4)), (1, 2))
+    assert not is_gamma_generic((1, -1), (2, 1))
+
+
+def test_gamma_genericity_matches_the_box_walk():
+    # gamma has n <= 4 entries in 0..4, zeros included, and theta small Fractions; on the
+    # wall, one coordinate where gamma is positive is solved for, and small entries make
+    # zeros off gamma's line common
+    rng = _rng(15, "gamma-generic")
+    seen = set()
+    for trial in range(1500):
+        n = int(rng.integers(1, 5))
+        gamma = tuple(int(rng.integers(0, 5)) for _ in range(n))
+        theta = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4))) for _ in range(n)]
+        support = [i for i, g in enumerate(gamma) if g]
+        if trial % 3 and support:
+            k = support[int(rng.integers(0, len(support)))]
+            theta[k] = -sum(t * g for i, (t, g) in enumerate(zip(theta, gamma)) if i != k) / gamma[k]
+        expected = lattice_reference.is_gamma_generic(theta, gamma)
+        assert is_gamma_generic(theta, gamma) == expected, (theta, gamma)
+        seen.add((expected, any(gamma), all(gamma)))
+    # generic and non-generic theta, the zero gamma, and gammas with and without zero entries
+    assert {(True, True, True), (False, True, True), (True, True, False), (False, True, False)} <= seen
+    assert (True, False, False) in seen
 
 
 def test_pullback_compatibility_random():
